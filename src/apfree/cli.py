@@ -40,17 +40,32 @@ def _default_threads() -> int:
         return 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
-    p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET,
-                   help="enumeration budget (points); exceeding it aborts up front")
+    p.add_argument("--budget", type=_positive_int, default=lattice.DEFAULT_BUDGET,
+                   help="work budget of every stage; exceeding it aborts up front")
     if threads:
         p.add_argument("--threads", type=int, default=_default_threads(),
                        help="worker threads for cube enumeration (env APFREE_THREADS)")
 
 
 def _parse_range(spec: str) -> range:
-    lo, _, hi = spec.partition(":")
-    return range(int(lo), int(hi) + 1)
+    lo, sep, hi = spec.partition(":")
+    try:
+        if sep:
+            return range(int(lo), int(hi) + 1)
+    except ValueError:
+        pass
+    raise ValueError(f"range {spec!r} must be LO:HI with integer ends, e.g. 2:4")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--m", type=int, required=True,
                    help="coordinates with index >= m are constrained nonnegative")
-    p.add_argument("--t-step", type=int, default=1)
+    p.add_argument("--t-step", type=_positive_int, default=1)
     p.add_argument("--out", help="CSV output path (default stdout)")
     _add_common(p, threads=False)
 
@@ -165,18 +180,15 @@ def _summary_line(method: str, params: ConstructionParams, shell, apset) -> str:
     )
 
 
+_CONSTRUCT = {"behrend": behrend.construct_behrend, "elkin": elkin.construct_elkin}
+
+
 def cmd_construct(args) -> int:
     params = _resolve_params(args)
-    if args.method == "behrend":
-        artifact = behrend.construct_behrend(params, budget=args.budget,
-                                             threads=args.threads)
-        _write_set(artifact.set, args)
-        print(_summary_line("behrend", params, artifact.shell, artifact.set))
-        return EXIT_OK
-    artifact = elkin.construct_elkin(params, budget=args.budget, threads=args.threads)
+    artifact = _CONSTRUCT[args.method](params, budget=args.budget, threads=args.threads)
     _write_set(artifact.set, args)
-    print(_summary_line("elkin", params, artifact.shell, artifact.set))
-    if artifact.is_empty:
+    print(_summary_line(args.method, params, artifact.shell, artifact.set))
+    if args.method == "elkin" and artifact.is_empty:
         print("empty result: the certificate filter removed every annulus point",
               file=sys.stderr)
         return EXIT_EMPTY
@@ -204,14 +216,9 @@ def cmd_sweep(args) -> int:
                 ConstructionParams(n=n, k=k, y=y),
                 args.method, args.a, args.epsilon, args.g,
             )
-            if args.method == "behrend":
-                art = behrend.construct_behrend(params, budget=args.budget,
-                                                threads=args.threads)
-                fraction = ""
-            else:
-                art = elkin.construct_elkin(params, budget=args.budget,
-                                            threads=args.threads)
-                fraction = art.survivor_fraction
+            art = _CONSTRUCT[args.method](params, budget=args.budget,
+                                          threads=args.threads)
+            fraction = art.survivor_fraction if args.method == "elkin" else ""
             rows.append([
                 k, y, n, art.shell.t_low, art.shell.t_high, art.set.size,
                 art.set.density, numeric.behrend_bound(n), numeric.elkin_bound(n),
@@ -255,7 +262,7 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_witness_count(args) -> int:
-    check = elkin.dhat_bound_check(args.k, args.g, args.epsilon)
+    check = elkin.dhat_bound_check(args.k, args.g, args.epsilon, budget=args.budget)
     ok = "true" if check.ok else "false"
     print(f"dhat={check.enumerated} bound={check.bound} ok={ok}")
     return EXIT_OK

@@ -181,17 +181,26 @@ class APFreeSet:
             writer.writerow([i, e])
 
 
+def _json_int(value) -> int:
+    """A non-bool JSON integer or a string of ASCII digits; nothing else."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SetFormatError(f"expected an integer or a digit string, got {value!r:.40}")
+
+
 def set_from_json_dict(doc: dict) -> APFreeSet:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise SetFormatError(f"missing or unsupported schema (expected {SCHEMA!r})")
+    if "n" not in doc or not isinstance(doc.get("elements"), list):
+        raise SetFormatError("malformed document: needs n and a list of elements")
     try:
-        n = int(doc["n"])
-        elements = tuple(int(e) for e in doc["elements"])
-        method = doc.get("method", "external")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SetFormatError(f"malformed apfree-set document: {exc}") from exc
-    try:
-        return APFreeSet(n=n, elements=elements, method=method)
+        return APFreeSet(
+            n=_json_int(doc["n"]),
+            elements=tuple(_json_int(e) for e in doc["elements"]),
+            method=doc.get("method", "external"),
+        )
     except ValueError as exc:
         raise SetFormatError(str(exc)) from exc
 

@@ -155,14 +155,16 @@ def construct_elkin(
     )
 
 
-def dhat_bound_check(k: int, g: int, epsilon: float | None = None) -> DhatCheck:
+def dhat_bound_check(
+    k: int, g: int, epsilon: float | None = None, budget: int = DEFAULT_BUDGET
+) -> DhatCheck:
     """Compare the enumerated witness count against 2 * 2^(eta * k).
 
     The exponent uses the caller's epsilon when g <= epsilon * k (the normal
     regime); otherwise, e.g. when the g >= 1 clamp is active, it is evaluated
     at the effective ratio g / k.
     """
-    enumerated = len(enumerate_witnesses(k, g))
+    enumerated = len(enumerate_witnesses(k, g, budget))
     if epsilon is not None and g <= epsilon * k:
         eps_eff = epsilon
     else:

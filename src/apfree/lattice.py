@@ -1,19 +1,20 @@
 """The discrete cube [0, y-1]^k: norm census, shell selection, point counting.
 
-The squared-norm histogram is computed by exact integer convolution: the
-distribution of ||v||^2 over the cube is the k-fold convolution of the
-one-coordinate histogram {j^2: 1 for j in 0..y-1}, which is the same census
-an explicit enumeration would produce.  Shell extraction enumerates the cube
-in lexicographic order via chunked index unraveling; chunks split on the
-first coordinate so a parallel run merges deterministically.
+The squared-norm histogram and the capped-ball counts come from one exact
+shift-add dynamic program over the squared norm: each coordinate adds
+w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
+convolution of the one-coordinate histogram, the same census an explicit
+enumeration would produce.  Shell extraction enumerates the cube in
+lexicographic order via chunked index unraveling; chunks split on the first
+coordinate so a parallel run merges deterministically.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so window membership of an integer squared norm t is decided
 exactly by comparing (t - mu)^2 against a^2 * var in rational arithmetic.
 
-Counting lattice points in capped balls (alpha_i >= 0 for i >= m) uses an
-exact dynamic program over the squared radius: one array pass per dimension,
-so the work is O(k * t * sqrt(t)) regardless of how many points are counted.
+Counting lattice points in capped balls (alpha_i >= 0 for i >= m) runs the
+same program from an all-ones first row, which makes h[s] cumulative; the
+work is O(k * t * sqrt(t)) regardless of how many points are counted.
 """
 
 from __future__ import annotations
@@ -82,34 +83,43 @@ def _check_budget(k: int, y: int, budget: int) -> None:
         raise BudgetExceeded(f"y^k = {y**k} exceeds the enumeration budget {budget}")
 
 
+def _norm_counts(
+    length: int,
+    top: int,
+    weights: Sequence[int],
+    bound: int,
+    budget: int,
+    cumulative: bool = False,
+) -> np.ndarray:
+    """h[s] = vectors of squared norm s (at most s if cumulative), for s < length.
+
+    One shift-add round per coordinate; weight w means the coordinate takes 0
+    once and each of 1..top w times (w=1: [0, top], w=2: [-top, top]).  Counts
+    are int64 when bound < 2^62, Python ints (object dtype) otherwise.  The
+    work len(weights) * length * (top+1) is checked before anything is allocated.
+    """
+    work = len(weights) * length * (top + 1)
+    if work > budget:
+        raise BudgetExceeded(f"norm-count work ~{work} exceeds the budget {budget}")
+    dtype = np.int64 if bound < 2**62 else object
+    h = np.ones(length, dtype=dtype) if cumulative else np.zeros(length, dtype=dtype)
+    h[0] = 1
+    for w in weights:
+        new = h.copy()
+        for a in range(1, top + 1):
+            sq = a * a
+            new[sq:] += w * h[: length - sq]
+        h = new
+    return h
+
+
 def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> NormHistogram:
     """Exact squared-norm census of the cube [0, y-1]^k."""
     if k < 1 or y < 1:
         raise ValueError(f"need k >= 1 and y >= 1, got k={k}, y={y}")
     _check_budget(k, y, budget)
-    base_len = (y - 1) ** 2 + 1
-    if y**k < 2**62:
-        base = np.zeros(base_len, dtype=np.int64)
-        for j in range(y):
-            base[j * j] = 1
-        counts = base
-        for _ in range(k - 1):
-            counts = np.convolve(counts, base)
-        mapping = {int(t): int(c) for t, c in enumerate(counts) if c}
-    else:
-        base_list = [0] * base_len
-        for j in range(y):
-            base_list[j * j] = 1
-        counts_list = base_list
-        for _ in range(k - 1):
-            out = [0] * (len(counts_list) + base_len - 1)
-            for i, ci in enumerate(counts_list):
-                if ci:
-                    for j in range(y):
-                        out[i + j * j] += ci
-            counts_list = out
-        mapping = {t: c for t, c in enumerate(counts_list) if c}
-    return NormHistogram(k=k, y=y, counts=mapping)
+    h = _norm_counts(k * (y - 1) ** 2 + 1, y - 1, [1] * k, y**k, budget)
+    return NormHistogram(k=k, y=y, counts={t: c for t, c in enumerate(h.tolist()) if c})
 
 
 def write_histogram_csv(hist: NormHistogram, fh: IO[str]) -> None:
@@ -295,13 +305,7 @@ def shell_members(
     return members
 
 
-def _count_work(k: int, t: int) -> int:
-    return k * (t + 1) * (math.isqrt(t) + 1)
-
-
-def _capped_counts_table(
-    k: int, t: int, m: int, budget: int
-) -> np.ndarray | list[int]:
+def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:
     """cumulative_count[s] = lattice points with norm^2 <= s, for all s <= t."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -309,36 +313,12 @@ def _capped_counts_table(
         raise ValueError(f"t must be >= 0, got {t}")
     if not 1 <= m <= k + 1:
         raise ValueError(f"m must be in [1, {k + 1}], got {m}")
-    if _count_work(k, t) > budget:
-        raise BudgetExceeded(
-            f"counting work ~{_count_work(k, t)} exceeds the budget {budget}"
-        )
-    n_constrained = k - m + 1 if m <= k else 0
+    n_constrained = k - m + 1
     root = math.isqrt(t)
-    exact = (2 * root + 1) ** k >= 2**62
-    if exact:
-        counts: list[int] = [1] * (t + 1)
-        for dim in range(k):
-            half = dim < n_constrained
-            new = counts[:]
-            for a in range(1, root + 1):
-                sq = a * a
-                if sq > t:
-                    break
-                w = 1 if half else 2
-                for s in range(sq, t + 1):
-                    new[s] += w * counts[s - sq]
-            counts = new
-        return counts
-    arr = np.ones(t + 1, dtype=np.int64)
-    for dim in range(k):
-        w = 1 if dim < n_constrained else 2
-        new = arr.copy()
-        for a in range(1, root + 1):
-            sq = a * a
-            new[sq:] += w * arr[: t + 1 - sq]
-        arr = new
-    return arr
+    weights = [1] * n_constrained + [2] * (k - n_constrained)
+    return _norm_counts(
+        t + 1, root, weights, (2 * root + 1) ** k, budget, cumulative=True
+    )
 
 
 def count_capped_ball(k: int, t: int, m: int, budget: int = DEFAULT_BUDGET) -> int:

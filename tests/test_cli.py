@@ -112,6 +112,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/no/such/file.json")
         assert code == 1
 
+    @pytest.mark.parametrize("elements", [
+        "[1.5, 2.9, 4]",      # floats used to be truncated to 1, 2, 4
+        '"1249"',             # a string used to be read digit by digit
+        "[true, 2]",          # a bool used to count as 1
+    ])
+    def test_malformed_elements_exit_3(self, capsys, tmp_path, elements):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"schema": "apfree-set/1", "n": "10", "elements": %s}' % elements
+        )
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 3 and "parse error" in stderr and stdout == ""
+
     def test_construct_then_verify_round_trip(self, capsys, tmp_path):
         path = tmp_path / "round.json"
         assert run(capsys, "construct", "--method", "behrend", "--k", "4", "--y", "3",
@@ -131,6 +144,14 @@ class TestSweep:
         assert rows[0] == ["k", "y", "n", "shell_lo", "shell_hi", "size", "density",
                            "behrend_bound", "elkin_bound", "survivor_fraction"]
         assert len(rows) == 1 + 2 * 3
+
+    def test_range_without_colon_exits_1(self, capsys, tmp_path):
+        code, _, stderr = run(
+            capsys, "sweep", "--method", "behrend", "--k-range", "2",
+            "--y-range", "2:3", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 1
+        assert "range '2' must be LO:HI" in stderr
 
     def test_behrend_leaves_fraction_blank(self, capsys, tmp_path):
         out = tmp_path / "sweep_b.csv"
@@ -157,6 +178,14 @@ class TestDiscrepancy:
         last = rows[-1].split(",")
         assert last[:4] == ["2", "25", "3", "81"]
 
+    def test_zero_step_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["discrepancy", "--k", "2", "--t-max", "25", "--m", "3",
+                  "--t-step", "0"])
+        assert exc_info.value.code == 1
+        assert ("--t-step: expected a positive integer, got '0'"
+                in capsys.readouterr().err)
+
     def test_writes_file(self, capsys, tmp_path):
         out = tmp_path / "disc.csv"
         code, _, _ = run(capsys, "discrepancy", "--k", "3", "--t-max", "10",
@@ -172,12 +201,26 @@ class TestWitnessCount:
         fields = dict(part.split("=") for part in stdout.split())
         assert fields["dhat"] == "8" and fields["ok"] == "true"
 
+    def test_budget_is_enforced(self, capsys):
+        code, stdout, stderr = run(capsys, "witness-count", "--k", "4", "--g", "2",
+                                   "--budget", "1")
+        assert code == 1 and stdout == ""
+        assert "exceeds 1" in stderr
+
 
 class TestHistogram:
     def test_stdout_csv(self, capsys):
         code, stdout, _ = run(capsys, "histogram", "--k", "2", "--y", "3")
         assert code == 0
         assert stdout == "norm_sq,count\n0,1\n1,2\n2,1\n4,2\n5,2\n8,1\n"
+
+    def test_negative_budget_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["histogram", "--k", "2", "--y", "3", "--budget", "-1"])
+        assert exc_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget: expected a positive integer, got '-1'" in captured.err
 
 
 class TestDeterminism:

@@ -180,6 +180,26 @@ class TestAPFreeSet:
                 {"schema": "apfree-set/1", "n": "5", "elements": ["2", "1"]}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("elements", [1.5, 2.9, 4]),
+        ("elements", "1249"),
+        ("elements", [True, 2]),
+        ("elements", ["+3"]),
+        ("elements", [" 3"]),
+        ("elements", ["\u0663"]),  # a non-ASCII digit
+        ("n", 10.0),
+        ("n", True),
+    ])
+    def test_read_rejects_non_integer_fields(self, field, value):
+        doc = {"schema": "apfree-set/1", "n": "10", "elements": ["1"]}
+        doc[field] = value
+        with pytest.raises(SetFormatError):
+            set_from_json_dict(doc)
+
+    def test_read_accepts_json_integers(self):
+        doc = {"schema": "apfree-set/1", "n": 10, "elements": [1, "2", 4]}
+        assert set_from_json_dict(doc).elements == (1, 2, 4)
+
     def test_density(self):
         s = APFreeSet(n=36, elements=(1, 6), method="behrend")
         assert s.density == pytest.approx(2 / 36)

@@ -207,6 +207,12 @@ class TestDhatBoundCheck:
         check = dhat_bound_check(2, 2)
         assert check.enumerated == 8 and check.ok
 
+    def test_budget_is_passed_on(self):
+        with pytest.raises(BudgetExceeded):
+            dhat_bound_check(4, 2, budget=1)
+        # 2*C(4,1) + 4*C(5,2) = 48 is the admitted overestimate for k=4, g=2
+        assert dhat_bound_check(4, 2, budget=48).enumerated == 32
+
     def test_permutation_invariance(self):
         # the witness set is closed under coordinate permutation
         witnesses = {w.delta for w in enumerate_witnesses(3, 2)}

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -66,6 +67,21 @@ class TestBuildHistogram:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             build_histogram(10, 10, budget=10**6)
+
+    def test_budget_covers_census_work(self):
+        # y^k = 10^8 is admitted, but the census DP would touch ~4e12 cells.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            build_histogram(2, 10**4)
+        assert time.perf_counter() - start < 1.0
+
+    def test_counts_beyond_int64(self):
+        hist = build_histogram(30, 5, budget=10**22)
+        assert hist.total() == 5**30 > 2**63
+        assert all(type(c) is int for c in hist.counts.values())
+
+    def test_large_side_matches_enumeration(self):
+        assert build_histogram(2, 200).counts == brute_histogram(2, 200)
 
     def test_csv_dump(self):
         buf = io.StringIO()
@@ -245,6 +261,20 @@ class TestCountCappedBall:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             count_capped_ball(5, 10**7, 1, budget=10**8)
+
+    def test_count_beyond_int64_matches_theta_power(self):
+        k, t = 64, 64
+        theta = [0] * (t + 1)
+        theta[0] = 1
+        for a in range(1, math.isqrt(t) + 1):
+            theta[a * a] = 2
+        series = [1] + [0] * t
+        for _ in range(k):
+            series = [
+                sum(series[i] * theta[s - i] for i in range(s + 1)) for s in range(t + 1)
+            ]
+        count = count_capped_ball(k, t, k + 1)
+        assert count == sum(series) > 2**63
 
 
 class TestDiscrepancyScan:
