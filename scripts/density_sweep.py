@@ -29,7 +29,6 @@ def main() -> int:
     ap.add_argument("--exponents", default="16:32:4",
                     help="lo:hi:step for n = 2^e")
     ap.add_argument("--budget", type=int, default=10**8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", help="CSV path (default stdout table)")
     args = ap.parse_args()
 
@@ -48,12 +47,10 @@ def main() -> int:
                       f"over budget, skipped", file=sys.stderr)
                 continue
             if method == "behrend":
-                art = construct_behrend(params, budget=args.budget,
-                                        threads=args.threads)
+                art = construct_behrend(params, budget=args.budget)
                 fraction = ""
             else:
-                art = construct_elkin(params, budget=args.budget,
-                                      threads=args.threads)
+                art = construct_elkin(params, budget=args.budget)
                 fraction = f"{art.survivor_fraction:.4f}"
             rows.append({
                 "e": e, "method": method, "k": params.k, "y": params.y,

@@ -41,6 +41,7 @@ from .lattice import (
     select_behrend_shell,
     select_elkin_annulus,
     shell_members,
+    shell_points,
 )
 from .numeric import (
     ConstructionParams,
@@ -109,4 +110,5 @@ __all__ = [
     "select_behrend_shell",
     "select_elkin_annulus",
     "shell_members",
+    "shell_points",
 ]

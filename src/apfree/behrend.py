@@ -13,7 +13,9 @@ norms in the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .codec import APFreeSet, encode_all
 from .errors import EmptyWindow
@@ -23,20 +25,26 @@ from .lattice import (
     NormHistogram,
     ShellSelection,
     build_histogram,
+    lattice_vectors,
     select_behrend_shell,
-    shell_members,
+    shell_points,
 )
 from .numeric import ConstructionParams, exact_moments
 
 
 @dataclass(frozen=True)
 class BehrendArtifact:
-    """Everything one run produced: parameters, chosen shell, vectors, set."""
+    """Everything one run produced: parameters, chosen shell, (N, k) points, set."""
 
     params: ConstructionParams
     shell: ShellSelection
-    vectors: tuple[LatticeVector, ...]
+    points: np.ndarray = field(compare=False)
     set: APFreeSet
+
+    @property
+    def vectors(self) -> tuple[LatticeVector, ...]:
+        """The points as LatticeVectors, built on every read."""
+        return tuple(lattice_vectors(self.points))
 
 
 def _without_origin_bin(hist: NormHistogram) -> NormHistogram:
@@ -49,7 +57,7 @@ def construct_behrend(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> BehrendArtifact:
-    """Run the full sphere-shell pipeline for the given parameters."""
+    """Run the full sphere-shell pipeline; threads has no effect."""
     k, y = params.k, params.y
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
@@ -62,12 +70,10 @@ def construct_behrend(
             raise EmptyWindow(
                 "only the origin lies in the Chebyshev window; no encodable shell"
             ) from None
-    vectors = shell_members(k, y, shell, budget=budget, threads=threads)
-    elements = tuple(sorted(encode_all(vectors, y, k)))
-    assert len(elements) == len(vectors), "digit map must be injective on the cube"
+    points = shell_points(k, y, shell, budget)
+    elements = tuple(sorted(encode_all(points, y, k)))
+    assert len(elements) == len(points), "digit map must be injective on the cube"
     apset = APFreeSet(
         n=params.n, elements=elements, method="behrend", params_echo=params
     )
-    return BehrendArtifact(
-        params=params, shell=shell, vectors=tuple(vectors), set=apset
-    )
+    return BehrendArtifact(params=params, shell=shell, points=points, set=apset)

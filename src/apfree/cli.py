@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import sys
 
 from . import behrend, elkin, lattice, numeric, verify as verify_mod
@@ -32,14 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("APFREE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -54,8 +45,8 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
     p.add_argument("--budget", type=_positive_int, default=lattice.DEFAULT_BUDGET,
                    help="work budget of every stage; exceeding it aborts up front")
     if threads:
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads for cube enumeration (env APFREE_THREADS)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; has no effect")
 
 
 def _parse_range(spec: str) -> range:
@@ -185,7 +176,7 @@ _CONSTRUCT = {"behrend": behrend.construct_behrend, "elkin": elkin.construct_elk
 
 def cmd_construct(args) -> int:
     params = _resolve_params(args)
-    artifact = _CONSTRUCT[args.method](params, budget=args.budget, threads=args.threads)
+    artifact = _CONSTRUCT[args.method](params, budget=args.budget)
     _write_set(artifact.set, args)
     print(_summary_line(args.method, params, artifact.shell, artifact.set))
     if args.method == "elkin" and artifact.is_empty:
@@ -216,8 +207,7 @@ def cmd_sweep(args) -> int:
                 ConstructionParams(n=n, k=k, y=y),
                 args.method, args.a, args.epsilon, args.g,
             )
-            art = _CONSTRUCT[args.method](params, budget=args.budget,
-                                          threads=args.threads)
+            art = _CONSTRUCT[args.method](params, budget=args.budget)
             fraction = art.survivor_fraction if args.method == "elkin" else ""
             rows.append([
                 k, y, n, art.shell.t_low, art.shell.t_high, art.set.size,
@@ -246,6 +236,9 @@ def cmd_nu(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     grid = list(range(args.t_step, args.t_max + 1, args.t_step))
+    if not grid:
+        raise ValueError(f"empty t grid: --t-max {args.t_max} is below "
+                         f"--t-step {args.t_step}")
     records = lattice.discrepancy_scan(args.k, grid, args.m, budget=args.budget)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:

@@ -42,7 +42,7 @@ def encode(v, y: int) -> int:
     for c in coords:
         if not 0 <= c <= y - 1:
             raise CoordOutOfRange(f"coordinate {c} outside [0, {y - 1}]")
-        code += c * power
+        code += int(c) * power  # a numpy digit times a radix power past 2^63 overflows
         power *= radix
     return code
 
@@ -97,14 +97,15 @@ def decode_array(codes: np.ndarray, k: int, y: int) -> np.ndarray:
 
 
 def encode_all(vectors: Iterable, y: int, k: int | None = None) -> list[int]:
-    """Bulk encode a list of vectors; vectorizes whenever (2y)^k fits int64."""
-    coords_list = [tuple(_coords_of(v)) for v in vectors]
-    if not coords_list:
+    """Bulk encode vectors or an (N, k) array; vectorized while (2y)^k fits int64."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = [_coords_of(v) for v in vectors]
+    if not len(vectors):
         return []
-    k = len(coords_list[0]) if k is None else k
+    k = len(vectors[0]) if k is None else k
     if (2 * y) ** k < 2**62:
-        return [int(c) for c in encode_array(np.asarray(coords_list), y)]
-    return [encode(c, y) for c in coords_list]
+        return encode_array(vectors, y).tolist()
+    return [encode(c, y) for c in vectors]
 
 
 def decode_all(codes: Sequence[int], k: int, y: int) -> list[LatticeVector]:

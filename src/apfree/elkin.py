@@ -28,8 +28,9 @@ from .lattice import (
     LatticeVector,
     ShellSelection,
     build_histogram,
+    lattice_vectors,
     select_elkin_annulus,
-    shell_members,
+    shell_points,
 )
 from .numeric import ConstructionParams, eta, exact_moments
 
@@ -82,6 +83,21 @@ def enumerate_witnesses(
     return out
 
 
+def _uncertified(
+    points: np.ndarray, witnesses: Sequence[WitnessVector], g: int
+) -> np.ndarray:
+    """Mask of the rows b of an (N, k) array with no witness delta giving
+    0 <= <b, delta> <= g."""
+    keep = np.ones(len(points), dtype=bool)
+    deltas = np.array([w.delta for w in witnesses], dtype=np.int64)
+    deltas = deltas.reshape(len(witnesses), points.shape[1])
+    chunk = max(1, (1 << 22) // max(1, len(witnesses)))
+    for start in range(0, len(points), chunk):
+        dots = points[start : start + chunk] @ deltas.T
+        keep[start : start + chunk] = ~((dots >= 0) & (dots <= g)).any(axis=1)
+    return keep
+
+
 def filter_survivors(
     points: Sequence[LatticeVector],
     witnesses: Sequence[WitnessVector],
@@ -95,17 +111,9 @@ def filter_survivors(
     """
     if not points:
         return [], 0
-    if not witnesses:
-        return list(points), 0
-    p_arr = np.asarray([p.coords for p in points], dtype=np.int64)
-    w_arr = np.asarray([w.delta for w in witnesses], dtype=np.int64)
-    keep = np.ones(len(points), dtype=bool)
-    chunk = max(1, (1 << 22) // max(1, len(witnesses)))
-    for start in range(0, len(points), chunk):
-        dots = p_arr[start : start + chunk] @ w_arr.T
-        hit = ((dots >= 0) & (dots <= g)).any(axis=1)
-        keep[start : start + chunk] = ~hit
-    survivors = [p for p, ok in zip(points, keep) if ok]
+    keep = _uncertified(np.array([p.coords for p in points], dtype=np.int64),
+                        witnesses, g)
+    survivors = [p for p, ok in zip(points, keep.tolist()) if ok]
     return survivors, len(points) - len(survivors)
 
 
@@ -134,23 +142,26 @@ def construct_elkin(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ElkinArtifact:
-    """Run the full annulus pipeline; an emptied filter is reported, not raised."""
+    """Run the full annulus pipeline; an emptied filter is reported, not raised.
+
+    threads has no effect.
+    """
     k, y = params.k, params.y
     g = params.effective_g()
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
     shell = select_elkin_annulus(hist, moments, g)
-    members = shell_members(k, y, shell, budget=budget, threads=threads)
+    points = shell_points(k, y, shell, budget)
     witnesses = enumerate_witnesses(k, g, budget)
-    survivors, removed = filter_survivors(members, witnesses, g)
-    elements = tuple(sorted(encode_all(survivors, y, k))) if survivors else ()
+    kept = points[_uncertified(points, witnesses, g)]
+    elements = tuple(sorted(encode_all(kept, y, k)))
     apset = APFreeSet(n=params.n, elements=elements, method="elkin", params_echo=params)
     return ElkinArtifact(
         params=params,
         shell=shell,
-        annulus_points=len(members),
-        survivors=tuple(survivors),
-        removed=removed,
+        annulus_points=len(points),
+        survivors=tuple(lattice_vectors(kept)),
+        removed=len(points) - len(kept),
         set=apset,
     )
 

@@ -1,5 +1,6 @@
 from apfree.behrend import construct_behrend
 from apfree.codec import decode
+from apfree.lattice import shell_members
 from apfree.numeric import ConstructionParams, exact_moments
 from apfree.verify import convexly_independent, midpoint_free
 
@@ -67,6 +68,14 @@ class TestConstructBehrend:
             art = construct_behrend(params_for(4, 4), threads=threads)
             assert art.set.elements == base.set.elements
             assert art.vectors == base.vectors
+
+    def test_points_match_vectors_and_shell_members(self):
+        for k, y in [(2, 3), (3, 4), (4, 5), (5, 3)]:
+            art = construct_behrend(params_for(k, y))
+            assert art.points.shape == (art.set.size, k)
+            assert [tuple(row) for row in art.points.tolist()] \
+                == [v.coords for v in art.vectors]
+            assert list(art.vectors) == shell_members(k, y, art.shell)
 
     def test_explicit_n_larger_than_cube(self):
         # n need not be an exact power; elements still fit below (2y)^k <= n

@@ -186,6 +186,15 @@ class TestDiscrepancy:
         assert ("--t-step: expected a positive integer, got '0'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("t_max", ["0", "-4", "2"])
+    def test_empty_grid_exits_1(self, capsys, tmp_path, t_max):
+        out = tmp_path / "disc.csv"
+        code, stdout, stderr = run(capsys, "discrepancy", "--k", "2", "--t-max", t_max,
+                                   "--m", "3", "--t-step", "3", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert f"empty t grid: --t-max {t_max} is below --t-step 3" in stderr
+        assert not out.exists()
+
     def test_writes_file(self, capsys, tmp_path):
         out = tmp_path / "disc.csv"
         code, _, _ = run(capsys, "discrepancy", "--k", "3", "--t-max", "10",
@@ -235,6 +244,15 @@ class TestDeterminism:
             assert code == 0
             paths.append(p.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_nonpositive_threads_exit_1(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["construct", "--method", "behrend", "--k", "3", "--y", "2",
+                  "--threads", threads])
+        assert exc_info.value.code == 1
+        assert (f"--threads: expected a positive integer, got '{threads}'"
+                in capsys.readouterr().err)
 
     def test_env_threads_fallback(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("APFREE_THREADS", "4")

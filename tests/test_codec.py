@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,18 @@ class TestDecode:
             codes = encode_all(vs, y, k)
             assert codes == [encode(v, y) for v in vs]
             assert [w.coords for w in decode_all(codes, k, y)] == vs
+
+    @pytest.mark.parametrize("k,y", [(30, 2), (31, 2), (20, 6), (27, 4), (9, 3)])
+    def test_array_matches_scalar_on_both_sides_of_2_62(self, k, y):
+        # (2y)^k: 2^60 and 6^9 take the int64 path; 2^62, 12^20 and 8^27 do not.
+        rng = np.random.default_rng(k * y)
+        coords = rng.integers(0, y, size=(50, k))
+        coords[0] = y - 1
+        codes = encode_all(coords, y, k)
+        assert codes == [encode(tuple(int(c) for c in row), y) for row in coords]
+        assert codes == encode_all([tuple(row) for row in coords.tolist()], y, k)
+        assert all(type(c) is int for c in codes)
+        assert encode_all(np.empty((0, k), dtype=np.int64), y, k) == []
 
 
 class TestMidpointTransport:

@@ -12,7 +12,7 @@ from apfree.elkin import (
     filter_survivors,
 )
 from apfree.errors import BudgetExceeded
-from apfree.lattice import lattice_vector
+from apfree.lattice import lattice_vector, shell_members
 from apfree.numeric import ConstructionParams, eta
 from apfree.verify import midpoint_free
 
@@ -91,6 +91,8 @@ class TestFilterSurvivors:
 
     def test_empty_input(self):
         assert filter_survivors([], enumerate_witnesses(2, 1), 1) == ([], 0)
+        point = lattice_vector((0, 3))
+        assert filter_survivors([point], [], 1) == ([point], 0)
 
     def test_preserves_input_order(self):
         pts = [lattice_vector(v) for v in [(5, 2), (2, 5), (3, 4)]]
@@ -177,6 +179,14 @@ class TestConstructElkin:
             len(art.survivors) / art.annulus_points
         )
         assert construct_elkin(params_for(2, 2, 1)).survivor_fraction == 0.0
+
+    def test_survivors_equal_filter_of_shell_members(self):
+        for k, y, g in [(2, 8, 1), (3, 8, 1), (3, 6, 2), (4, 4, 1), (2, 3, 1)]:
+            art = construct_elkin(params_for(k, y, g))
+            members = shell_members(k, y, art.shell)
+            survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
+            assert art.survivors == tuple(survivors)
+            assert (art.annulus_points, art.removed) == (len(members), removed)
 
     def test_derives_g_when_unset(self):
         art = construct_elkin(ConstructionParams(n=6**4, k=4, y=3))

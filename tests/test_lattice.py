@@ -4,6 +4,7 @@ import math
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
     NormHistogram,
     ShellSelection,
+    _coords_of_range,
     build_histogram,
     capped_ball_volume,
     count_capped_ball,
@@ -19,6 +21,7 @@ from apfree.lattice import (
     select_behrend_shell,
     select_elkin_annulus,
     shell_members,
+    shell_points,
     write_histogram_csv,
 )
 from apfree.numeric import exact_moments
@@ -219,6 +222,23 @@ class TestShellMembers:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             shell_members(10, 10, self._shell(0, 5), budget=10**4)
+
+    # (5, 8) and (3, 30) span more than one scan chunk.
+    @pytest.mark.parametrize("k,y", [(1, 5), (2, 3), (3, 4), (4, 3), (5, 2), (3, 7),
+                                     (5, 8), (3, 30)])
+    def test_points_equal_brute_cube_filter(self, k, y):
+        cube = _coords_of_range(0, y**k, k, y)
+        norms = (cube * cube).sum(axis=1)
+        top = k * (y - 1) ** 2
+        windows = [(0, 0), (1, 1), (2, 3), (top // 2, top // 2 + 2), (top, top),
+                   (0, top), (5, 4), (top + 1, top + 9), (-3, -1)]
+        for lo, hi in windows:
+            points = shell_points(k, y, self._shell(lo, hi))
+            expected = cube[(norms >= lo) & (norms <= hi)]
+            assert points.shape == expected.shape and points.dtype == np.int64
+            assert (points == expected).all()
+            assert [v.coords for v in shell_members(k, y, self._shell(lo, hi))] \
+                == [tuple(row) for row in expected.tolist()]
 
 
 class TestCountCappedBall:
