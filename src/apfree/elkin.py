@@ -8,6 +8,15 @@ short certificate: a nonzero integer vector delta with ||delta||^2 <= g and
 leaves a subset of the ball's extreme points, which is convexly independent
 and therefore encodes to a progression-free set.
 
+Much of the filter's answer is known before it runs.  Each unit vector e_i
+is a witness (||e_i||^2 = 1 <= g), and <b, e_i> = b_i, so every point with a
+coordinate in [0, g] has a certificate.  All survivors therefore lie in the
+sub-cube [g+1, y-1]^k, and construct_elkin enumerates and filters only the
+annulus points there.  The prune is exact: each point it skips is one the
+full filter removes, and each point it keeps is still tested against every
+witness.  The annulus size comes from the census, so the points the unit
+witnesses remove number the annulus size minus the sub-cube's share of it.
+
 The filter can empty the annulus at desk scale (small y relative to g); that
 outcome is reported on the artifact, never raised, so parameter sweeps can
 record it.
@@ -119,13 +128,18 @@ def filter_survivors(
 
 @dataclass(frozen=True)
 class ElkinArtifact:
-    """One annulus run: selected window, census, filter outcome, encoded set."""
+    """One annulus run: selected window, census, filter outcome, encoded set.
+
+    removed counts every annulus point the filter dropped; unit_removed
+    counts those with a coordinate in [0, g], which a unit witness removes.
+    """
 
     params: ConstructionParams
     shell: ShellSelection
     annulus_points: int
     survivors: tuple[LatticeVector, ...]
     removed: int
+    unit_removed: int
     set: APFreeSet
 
     @property
@@ -142,26 +156,34 @@ def construct_elkin(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ElkinArtifact:
-    """Run the full annulus pipeline; an emptied filter is reported, not raised.
+    """Run the annulus pipeline; an emptied filter is reported, not raised.
 
-    threads has no effect.
+    Only the annulus points of the sub-cube [g+1, y-1]^k are enumerated and
+    filtered (see the module docstring).  The certificate dot products are
+    checked against budget before the filter runs.  threads has no effect.
     """
     k, y = params.k, params.y
     g = params.effective_g()
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
     shell = select_elkin_annulus(hist, moments, g)
-    points = shell_points(k, y, shell, budget)
+    points = shell_points(k, y, shell, budget, low=g + 1)
     witnesses = enumerate_witnesses(k, g, budget)
+    dots = len(points) * len(witnesses)
+    if dots > budget:
+        raise BudgetExceeded(
+            f"{dots} certificate dot products exceed the budget {budget}"
+        )
     kept = points[_uncertified(points, witnesses, g)]
     elements = tuple(sorted(encode_all(kept, y, k)))
     apset = APFreeSet(n=params.n, elements=elements, method="elkin", params_echo=params)
     return ElkinArtifact(
         params=params,
         shell=shell,
-        annulus_points=len(points),
+        annulus_points=shell.population,
         survivors=tuple(lattice_vectors(kept)),
-        removed=len(points) - len(kept),
+        removed=shell.population - len(kept),
+        unit_removed=shell.population - len(points),
         set=apset,
     )
 

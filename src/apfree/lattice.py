@@ -6,7 +6,8 @@ w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
 convolution of the one-coordinate histogram, the same census an explicit
 enumeration would produce.  Shell extraction scans the cube in lexicographic
 order by unraveling chunks of ranks and returns the rows whose squared norm
-lies in the window as one (N, k) int64 array.
+lies in the window as one (N, k) int64 array; it can be narrowed to a
+sub-cube [low, y-1]^k by unraveling in base y - low and adding low.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so window membership of an integer squared norm t is decided
@@ -258,17 +259,27 @@ def _coords_of_range(start: int, stop: int, k: int, y: int) -> np.ndarray:
 
 
 def shell_points(
-    k: int, y: int, shell: ShellSelection, budget: int = DEFAULT_BUDGET
+    k: int, y: int, shell: ShellSelection, budget: int = DEFAULT_BUDGET, low: int = 0
 ) -> np.ndarray:
-    """All cube vectors with t_low <= ||v||^2 <= t_high, as an (N, k) int64
-    array with rows in lexicographic order."""
+    """All vectors of the sub-cube [low, y-1]^k with t_low <= ||v||^2 <= t_high,
+    as an (N, k) int64 array with rows in lexicographic order.
+
+    low = 0 (the default) scans the whole cube; low >= y gives shape (0, k).
+    The budget check is on the whole cube, y^k, whatever low is.
+    """
+    if low < 0:
+        raise ValueError(f"low must be >= 0, got {low}")
     _check_budget(k, y, budget)
     t_low, t_high = shell.t_low, shell.t_high
+    side = y - low
     # Skip first coordinates whose own square already exceeds the window top.
-    stop = (min(y - 1, math.isqrt(max(t_high, 0))) + 1) * y ** (k - 1)
+    first = max(min(y - 1, math.isqrt(max(t_high, 0))) - low + 1, 0)
+    stop = first * side ** (k - 1)
     parts = [np.empty((0, k), dtype=np.int64)]
     for start in range(0, stop, _CHUNK):
-        coords = _coords_of_range(start, min(start + _CHUNK, stop), k, y)
+        coords = _coords_of_range(start, min(start + _CHUNK, stop), k, side)
+        if low:
+            coords += low
         norms = np.einsum("ij,ij->i", coords, coords)
         parts.append(coords[(norms >= t_low) & (norms <= t_high)])
     return np.concatenate(parts)

@@ -12,7 +12,6 @@ table of optima for shorter prefixes prunes the search for longer ones.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -121,7 +120,6 @@ def _convexly_independent_exact(pts: list[tuple[int, ...]]) -> bool:
 # ---------------------------------------------------------------------------
 # Oracle 1: recursive include-first DFS, lexicographically smallest optimum.
 
-_dfs_lock = threading.Lock()
 _dfs_values: list[int] = [0]
 _dfs_masks: list[int] = [0]
 
@@ -157,12 +155,11 @@ def _dfs_search(m: int, values: list[int]) -> tuple[int, int]:
 
 
 def _dfs_extend(n: int) -> None:
-    with _dfs_lock:
-        while len(_dfs_values) <= n:
-            m = len(_dfs_values)
-            value, mask = _dfs_search(m, _dfs_values)
-            _dfs_values.append(value)
-            _dfs_masks.append(mask)
+    while len(_dfs_values) <= n:
+        m = len(_dfs_values)
+        value, mask = _dfs_search(m, _dfs_values)
+        _dfs_values.append(value)
+        _dfs_masks.append(mask)
 
 
 def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
@@ -185,7 +182,6 @@ def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
 # ---------------------------------------------------------------------------
 # Oracle 2: explicit-stack branch and bound, descending order, greedy seed.
 
-_bb_lock = threading.Lock()
 _bb_values: list[int] = [0]
 
 
@@ -237,8 +233,7 @@ def exact_nu_bb(n: int, budget: int = NU_BB_BUDGET) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > budget:
         raise BudgetExceeded(f"n = {n} exceeds the search budget {budget}")
-    with _bb_lock:
-        while len(_bb_values) <= n:
-            m = len(_bb_values)
-            _bb_values.append(_bb_search(m, _bb_values))
+    while len(_bb_values) <= n:
+        m = len(_bb_values)
+        _bb_values.append(_bb_search(m, _bb_values))
     return _bb_values[n]

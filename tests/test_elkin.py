@@ -1,10 +1,12 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apfree import elkin
 from apfree.elkin import (
     construct_elkin,
     dhat_bound_check,
@@ -187,6 +189,63 @@ class TestConstructElkin:
             survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
             assert art.survivors == tuple(survivors)
             assert (art.annulus_points, art.removed) == (len(members), removed)
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            # y^k <= 5*10^4; y <= 40 keeps the k = 1 census within the budget
+            st.integers(min_value=2, max_value=min(40, math.floor(5e4 ** (1 / k)))),
+            st.integers(min_value=1, max_value=5),
+        )))
+    @settings(max_examples=60, deadline=None)
+    def test_sub_cube_prune_equals_full_filter(self, kyg):
+        k, y, g = kyg
+        art = construct_elkin(params_for(k, y, g))
+        members = shell_members(k, y, art.shell)
+        survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
+        assert art.survivors == tuple(survivors)
+        assert (art.annulus_points, art.removed) == (len(members), removed)
+
+    def test_unit_removed_counts_points_with_a_small_coordinate(self):
+        for k, y, g in [(2, 8, 1), (3, 8, 2), (3, 6, 2), (4, 5, 3), (2, 10, 4)]:
+            art = construct_elkin(params_for(k, y, g))
+            members = shell_members(k, y, art.shell)
+            assert art.unit_removed == sum(min(v.coords) <= g for v in members)
+            assert art.unit_removed <= art.removed
+
+    def test_unit_witnesses_remove_everything_removed_when_g_is_1(self):
+        for k, y in [(2, 8), (3, 8), (4, 4), (8, 5)]:
+            art = construct_elkin(params_for(k, y, 1))
+            assert art.unit_removed == art.removed
+
+    def test_empty_sub_cube_skips_the_scan(self):
+        # y <= g + 1: the cube has 3^14 = 4,782,969 points, the sub-cube none.
+        start = time.perf_counter()
+        art = construct_elkin(params_for(14, 3, 2))
+        assert time.perf_counter() - start < 1.0
+        assert art.is_empty and art.annulus_points == 588_952
+        assert art.removed == art.unit_removed == 588_952
+
+    def test_dot_products_are_refused_before_the_filter(self, monkeypatch):
+        # For every (k, y, g) searched (y^k <= 2*10^6, g <= 11) the cube,
+        # census or witness check binds before the dot products, so the
+        # witness list is padded with repeats, which change no survivor.
+        k, y, g = 3, 8, 1
+        points = len(construct_elkin(params_for(k, y, g)).survivors)  # g = 1: all
+        units = enumerate_witnesses(k, g)
+        padded = units * (10**4 // (points * len(units)) + 1)
+        dots = points * len(padded)
+        monkeypatch.setattr(elkin, "enumerate_witnesses", lambda *args: padded)
+        assert construct_elkin(params_for(k, y, g), budget=dots).survivors
+
+        def filter_ran(*args):
+            raise AssertionError("the certificate filter ran")
+
+        monkeypatch.setattr(elkin, "_uncertified", filter_ran)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="dot products"):
+            construct_elkin(params_for(k, y, g), budget=dots - 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_derives_g_when_unset(self):
         art = construct_elkin(ConstructionParams(n=6**4, k=4, y=3))

@@ -240,6 +240,29 @@ class TestShellMembers:
             assert [v.coords for v in shell_members(k, y, self._shell(lo, hi))] \
                 == [tuple(row) for row in expected.tolist()]
 
+    @pytest.mark.parametrize("k,y", [(1, 5), (2, 3), (3, 4), (4, 3), (5, 2), (3, 7),
+                                     (5, 8), (3, 30)])
+    def test_sub_cube_points_equal_brute_cube_filter(self, k, y):
+        cube = _coords_of_range(0, y**k, k, y)
+        norms = (cube * cube).sum(axis=1)
+        top = k * (y - 1) ** 2
+        windows = [(0, 0), (1, 1), (2, 3), (top // 2, top // 2 + 2), (top, top),
+                   (0, top), (5, 4), (top + 1, top + 9), (-3, -1)]
+        # low >= y leaves an empty sub-cube, so every window gives shape (0, k).
+        for low in sorted({0, 1, 2, y - 1, y, y + 3}):
+            in_sub_cube = (cube >= low).all(axis=1)
+            for lo, hi in windows:
+                points = shell_points(k, y, self._shell(lo, hi), low=low)
+                expected = cube[in_sub_cube & (norms >= lo) & (norms <= hi)]
+                assert points.shape == expected.shape and points.dtype == np.int64
+                assert (points == expected).all()
+
+    def test_sub_cube_keeps_cube_budget_and_rejects_negative_low(self):
+        with pytest.raises(BudgetExceeded):
+            shell_points(10, 10, self._shell(0, 5), budget=10**4, low=9)
+        with pytest.raises(ValueError):
+            shell_points(2, 3, self._shell(0, 8), low=-1)
+
 
 class TestCountCappedBall:
     def test_gauss_circle_radius_5(self):
