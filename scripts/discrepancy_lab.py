@@ -13,10 +13,9 @@ Example:
 """
 
 import argparse
-import csv
 import sys
 
-from apfree import discrepancy_scan
+from apfree.lattice import discrepancy_scan, write_discrepancy_csv
 
 
 def geometric_grid(t_lo: int, t_hi: int, points_per_decade: int) -> list[int]:
@@ -54,12 +53,7 @@ def main() -> int:
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "t", "m", "count_exact", "volume",
-                             "reference_volume", "ratio"])
-            for r in rows:
-                writer.writerow([r.k, r.t, r.m, r.count_exact, r.volume,
-                                 r.reference_volume, r.ratio])
+            write_discrepancy_csv(rows, fh)
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

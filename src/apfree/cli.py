@@ -50,13 +50,16 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
 
 
 def _parse_range(spec: str) -> range:
-    lo, sep, hi = spec.partition(":")
+    lo, _, hi = spec.partition(":")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
+        values = range(int(lo), int(hi) + 1)
     except ValueError:
-        pass
-    raise ValueError(f"range {spec!r} must be LO:HI with integer ends, e.g. 2:4")
+        raise ValueError(
+            f"range {spec!r} must be LO:HI with integer ends, e.g. 2:4"
+        ) from None
+    if not values:
+        raise ValueError(f"range {spec!r} is empty: LO exceeds HI")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,9 +202,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    k_range, y_range = _parse_range(args.k_range), _parse_range(args.y_range)
     rows = []
-    for k in _parse_range(args.k_range):
-        for y in _parse_range(args.y_range):
+    for k in k_range:
+        for y in y_range:
             n = (2 * y) ** k
             params = _apply_knobs(
                 ConstructionParams(n=n, k=k, y=y),
@@ -240,17 +244,11 @@ def cmd_discrepancy(args) -> int:
         raise ValueError(f"empty t grid: --t-max {args.t_max} is below "
                          f"--t-step {args.t_step}")
     records = lattice.discrepancy_scan(args.k, grid, args.m, budget=args.budget)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["k", "t", "m", "count_exact", "volume",
-                         "reference_volume", "ratio"])
-        for r in records:
-            writer.writerow([r.k, r.t, r.m, r.count_exact, r.volume,
-                             r.reference_volume, r.ratio])
-    finally:
-        if args.out:
-            out.close()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            lattice.write_discrepancy_csv(records, fh)
+    else:
+        lattice.write_discrepancy_csv(records, sys.stdout)
     return EXIT_OK
 
 

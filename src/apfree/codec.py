@@ -6,6 +6,9 @@ half the radix, addition of two codes is carry-free, which is what makes
 the map transport midpoints: if v_hat = (u_hat + w_hat)/2 for cube vectors
 then v = (u + w)/2 coordinate by coordinate.
 
+encode_all and decode_all do the same for many vectors at once in one numpy
+body, in int64 while (2y)^k < 2^62 and in Python ints (object dtype) above.
+
 Sets are interchanged as JSON (schema "apfree-set/1") with elements as
 decimal strings, since codes routinely exceed 64 bits.
 """
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import CoordOutOfRange, DigitOutOfRange, SetFormatError
 from .lattice import LatticeVector, lattice_vector
-from .numeric import ConstructionParams
+from .numeric import ConstructionParams, int_dtype
 
 SCHEMA = "apfree-set/1"
 
@@ -64,56 +67,34 @@ def decode(x: int, k: int, y: int) -> LatticeVector:
     return lattice_vector(tuple(digits))
 
 
-def encode_array(coords: np.ndarray, y: int) -> np.ndarray:
-    """Encode an (N, k) int array of cube vectors to an (N,) int64 code array.
-
-    Only valid while (2y)^k fits in int64; encode() covers the general case.
-    """
-    coords = np.asarray(coords, dtype=np.int64)
-    n, k = coords.shape
-    radix = 2 * y
-    if radix**k >= 2**62:
-        raise ValueError(f"(2y)^k = {radix**k} does not fit int64; use encode()")
-    if n and (coords.min() < 0 or coords.max() > y - 1):
-        raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
-    powers = radix ** np.arange(k, dtype=np.int64)
-    return coords @ powers
-
-
-def decode_array(codes: np.ndarray, k: int, y: int) -> np.ndarray:
-    """Decode an (N,) int64 code array back to (N, k) cube vectors."""
-    rem = np.asarray(codes, dtype=np.int64).copy()
-    radix = 2 * y
-    if len(rem) and rem.min() < 0:
-        raise DigitOutOfRange("negative values cannot be cube vector codes")
-    digits = np.empty((len(rem), k), dtype=np.int64)
-    for i in range(k):
-        rem, digits[:, i] = np.divmod(rem, radix)
-    bad = (rem != 0) | (digits >= y).any(axis=1)
-    if bad.any():
-        culprit = int(np.asarray(codes)[int(np.flatnonzero(bad)[0])])
-        raise DigitOutOfRange(f"{culprit} is not the code of a cube vector")
-    return digits
-
-
-def encode_all(vectors: Iterable, y: int, k: int | None = None) -> list[int]:
-    """Bulk encode vectors or an (N, k) array; vectorized while (2y)^k fits int64."""
+def encode_all(vectors: Iterable, y: int, k: int) -> list[int]:
+    """Codes of k-dimensional vectors or of the rows of an (N, k) array, as ints."""
     if not isinstance(vectors, np.ndarray):
         vectors = [_coords_of(v) for v in vectors]
-    if not len(vectors):
-        return []
-    k = len(vectors[0]) if k is None else k
-    if (2 * y) ** k < 2**62:
-        return encode_array(vectors, y).tolist()
-    return [encode(c, y) for c in vectors]
+    coords = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), k)
+    if coords.size and (coords.min() < 0 or coords.max() > y - 1):
+        raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
+    radix = 2 * y
+    powers = np.array([radix**i for i in range(k)], dtype=int_dtype(radix**k))
+    return (coords.astype(powers.dtype, copy=False) @ powers).tolist()
 
 
-def decode_all(codes: Sequence[int], k: int, y: int) -> list[LatticeVector]:
-    """Bulk decode; mirrors encode_all."""
-    if codes and 0 <= min(codes) and max(codes) < 2**62:
-        digits = decode_array(np.asarray(codes, dtype=np.int64), k, y)
-        return [lattice_vector(tuple(int(d) for d in row)) for row in digits]
-    return [decode(x, k, y) for x in codes]
+def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
+    """Digits of each code as an (N, k) int64 array; the inverse of encode_all."""
+    rem = np.array(codes, dtype=object)
+    if rem.min(initial=0) < 0:
+        raise DigitOutOfRange("negative values cannot be cube vector codes")
+    rem = rem.astype(int_dtype(rem.max(initial=0)), copy=False)
+    radix = 2 * y
+    digits = np.empty((len(rem), k), dtype=np.int64)
+    for i in range(k):
+        digits[:, i] = rem % radix
+        rem //= radix
+    bad = (rem != 0) | (digits >= y).any(axis=1)
+    if bad.any():
+        culprit = codes[int(np.flatnonzero(bad)[0])]
+        raise DigitOutOfRange(f"{culprit} is not the code of a cube vector")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -209,6 +190,6 @@ def set_from_json_dict(doc: dict) -> APFreeSet:
 def read_set(fh: IO[str]) -> APFreeSet:
     try:
         doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SetFormatError(f"not valid JSON: {exc}") from exc
     return set_from_json_dict(doc)

@@ -10,8 +10,8 @@ lies in the window as one (N, k) int64 array; it can be narrowed to a
 sub-cube [low, y-1]^k by unraveling in base y - low and adding low.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
-rational), so window membership of an integer squared norm t is decided
-exactly by comparing (t - mu)^2 against a^2 * var in rational arithmetic.
+rational), so the integer ends of a window are found in closed form with
+math.isqrt, never through a float.
 
 Counting lattice points in capped balls (alpha_i >= 0 for i >= m) runs the
 same program from an all-ones first row, which makes h[s] cumulative; the
@@ -20,6 +20,7 @@ work is O(k * t * sqrt(t)) regardless of how many points are counted.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyWindow
-from .numeric import MomentSummary, ball_volume
+from .numeric import MomentSummary, ball_volume, int_dtype
 
 #: Default cap on the number of cube points an enumeration may touch.
 DEFAULT_BUDGET = 10**8
@@ -108,7 +109,7 @@ def _norm_counts(
     work = len(weights) * length * (top + 1)
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds the budget {budget}")
-    dtype = np.int64 if bound < 2**62 else object
+    dtype = int_dtype(bound)
     h = np.ones(length, dtype=dtype) if cumulative else np.zeros(length, dtype=dtype)
     h[0] = 1
     for w in weights:
@@ -136,29 +137,27 @@ def write_histogram_csv(hist: NormHistogram, fh: IO[str]) -> None:
         fh.write(f"{t},{hist.counts[t]}\n")
 
 
+def write_discrepancy_csv(records: Sequence[DiscrepancyRecord], fh: IO[str]) -> None:
+    """Dump as `k,t,m,count_exact,volume,reference_volume,ratio` CSV rows."""
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["k", "t", "m", "count_exact", "volume", "reference_volume", "ratio"]
+    )
+    writer.writerows(
+        [r.k, r.t, r.m, r.count_exact, r.volume, r.reference_volume, r.ratio]
+        for r in records
+    )
+
+
 def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
-    """Integer ends [ceil(mu - s), floor(mu + s)] for s = sqrt(bound_sq), exact."""
-    s = math.sqrt(float(bound_sq))
+    """Integer ends [ceil(mu - s), floor(mu + s)] for s = sqrt(bound_sq), exact.
 
-    def left_ok(t: int) -> bool:
-        d = mu - t
-        return d <= 0 or d * d <= bound_sq
-
-    def right_ok(t: int) -> bool:
-        d = Fraction(t) - mu
-        return d <= 0 or d * d <= bound_sq
-
-    lo = math.ceil(float(mu) - s)
-    while not left_ok(lo):
-        lo += 1
-    while left_ok(lo - 1):
-        lo -= 1
-    hi = math.floor(float(mu) + s)
-    while not right_ok(hi):
-        hi -= 1
-    while right_ok(hi + 1):
-        hi += 1
-    return lo, hi
+    With mu = m/d and r = floor(d*s), an integer t lies in the window iff
+    |d*t - m| <= r, since the left side is an integer.
+    """
+    m, d = mu.numerator, mu.denominator
+    r = math.isqrt(d * d * bound_sq.numerator // bound_sq.denominator)
+    return -((r - m) // d), (m + r) // d
 
 
 def select_behrend_shell(
@@ -169,8 +168,8 @@ def select_behrend_shell(
     Ties break toward the smallest norm.  The returned selection records the
     pigeonhole floor (1 - 1/a^2) * y^k / (2*a*sigma + 1).
     """
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0, got {a}")
     a_frac = Fraction(a)
     lo, hi = _window_ends(moments.mu_Z, a_frac * a_frac * moments.var_Z)
     best_t = None
@@ -198,13 +197,8 @@ def annulus_count(moments: MomentSummary, g: int) -> int:
     """Number of width-g sub-windows tiling the a=2 Chebyshev window: ceil(4*sigma/g)."""
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
-    var16 = 16 * moments.var_Z
-    ell = max(1, math.ceil(4 * moments.sigma_Z / g))
-    while Fraction(ell * g) ** 2 < var16:
-        ell += 1
-    while ell > 1 and Fraction((ell - 1) * g) ** 2 >= var16:
-        ell -= 1
-    return ell
+    c = math.isqrt(math.ceil(16 * moments.var_Z) - 1) + 1  # ceil(4*sigma), exact
+    return -(-c // g)
 
 
 def select_elkin_annulus(

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DegenerateParameters
 
 #: Default epsilon for the annulus construction, chosen well inside the
@@ -29,6 +31,12 @@ DEFAULT_EPSILON = 0.05
 
 #: Default Chebyshev multiplier for the sphere-shell construction.
 DEFAULT_CHEBYSHEV_A = 2.0
+
+
+def int_dtype(bound: int):
+    """The numpy dtype for exact integers below bound: int64 while bound < 2^62,
+    Python ints (object dtype) otherwise, so sums of a few stay exact."""
+    return np.int64 if bound < 2**62 else object
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,12 @@ class ConstructionParams:
             raise DegenerateParameters(
                 f"(2y)^k = {(2 * self.y) ** self.k} exceeds n = {self.n}"
             )
-        if self.a <= 0:
-            raise DegenerateParameters(f"a must be > 0, got {self.a}")
-        if self.epsilon <= 0:
-            raise DegenerateParameters(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.a < math.inf:
+            raise DegenerateParameters(f"a must be finite and > 0, got {self.a}")
+        if not 0 < self.epsilon < math.inf:
+            raise DegenerateParameters(
+                f"epsilon must be finite and > 0, got {self.epsilon}"
+            )
         if self.g is not None and self.g < 1:
             raise DegenerateParameters(f"g must be >= 1, got {self.g}")
 
@@ -193,13 +203,8 @@ def derive_dimension(n: int) -> int:
     """ceil(sqrt(2 * log2(n))), exact: the smallest k with 2^(k^2) >= n^2."""
     if n < 2:
         raise DegenerateParameters(f"n must be >= 2, got {n}")
-    k = max(1, math.ceil(math.sqrt(2 * math.log2(n))))
-    n_sq = n * n
-    while 2 ** (k * k) < n_sq:
-        k += 1
-    while k > 1 and 2 ** ((k - 1) * (k - 1)) >= n_sq:
-        k -= 1
-    return k
+    # 2^(k^2) >= n^2 iff k^2 >= ceil(log2(n^2)) = (n^2 - 1).bit_length()
+    return math.isqrt((n * n - 1).bit_length() - 1) + 1
 
 
 def default_params(n: int, method: str) -> ConstructionParams:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .codec import APFreeSet
 from .errors import BudgetExceeded
+from .numeric import int_dtype
 
 #: exact_nu default search bound; every subset state fits one machine word.
 NU_BUDGET = 64
@@ -82,12 +83,9 @@ def convexly_independent(vectors: Sequence, budget: int = CONVEX_BUDGET) -> bool
         return len(set(pts)) == n
     if len(set(pts)) < n:
         return False
-    p_arr = np.asarray(pts, dtype=np.int64)
-    # int64 is safe while |coord|^3 * k stays below 2^62.
-    max_abs = int(np.abs(p_arr).max()) if n else 0
-    k = p_arr.shape[1]
-    if (2 * max_abs) ** 3 * k >= 2**62:
-        return _convexly_independent_exact(pts)
+    # The products below stay under (2 * max|coord|)^3 * k in absolute value.
+    max_abs = max(abs(c) for p in pts for c in p)
+    p_arr = np.array(pts, dtype=int_dtype((2 * max_abs) ** 3 * len(pts[0])))
     for i in range(n):
         for j in range(i + 1, n):
             d = p_arr[j] - p_arr[i]
@@ -102,6 +100,7 @@ def convexly_independent(vectors: Sequence, budget: int = CONVEX_BUDGET) -> bool
 
 
 def _convexly_independent_exact(pts: list[tuple[int, ...]]) -> bool:
+    """Pure-Python reference for convexly_independent on distinct points."""
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):

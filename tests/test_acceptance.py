@@ -21,7 +21,7 @@ import pytest
 
 from apfree.behrend import construct_behrend
 from apfree.cli import main as cli_main
-from apfree.codec import decode, decode_array, encode, encode_array
+from apfree.codec import decode, decode_all, encode, encode_all
 from apfree.elkin import construct_elkin, enumerate_witnesses
 from apfree.errors import DigitOutOfRange
 from apfree.lattice import discrepancy_scan, _coords_of_range
@@ -127,9 +127,9 @@ def test_codec_round_trip_and_transport():
     for k, y in _codec_grid():
         total = y**k
         coords = _coords_of_range(0, total, k, y)
-        codes = encode_array(coords, y)
+        codes = encode_all(coords, y, k)
         assert len(np.unique(codes)) == total, f"encode not injective on (k={k}, y={y})"
-        assert np.array_equal(decode_array(codes, k, y), coords), (
+        assert np.array_equal(decode_all(codes, k, y), coords), (
             f"bulk round trip failed on (k={k}, y={y})"
         )
         # the scalar operations agree with the bulk path on samples
@@ -137,7 +137,7 @@ def test_codec_round_trip_and_transport():
             v = tuple(rng.randrange(y) for _ in range(k))
             code = encode(v, y)
             assert decode(code, k, y).coords == v
-            assert code == int(encode_array(np.asarray([v]), y)[0])
+            assert code == encode_all(np.asarray([v]), y, k)[0]
         if total <= 20000:
             for v in itertools.product(range(y), repeat=k):
                 assert decode(encode(v, y), k, y).coords == v

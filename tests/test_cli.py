@@ -74,6 +74,14 @@ class TestConstruct:
         assert rows[0] == ["index", "element"]
         assert [r[1] for r in rows[1:]] == ["1", "4", "16"]
 
+    @pytest.mark.parametrize("flag", ["--a", "--epsilon"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_knob_exits_1(self, capsys, flag, value):
+        code, stdout, stderr = run(capsys, "construct", "--method", "behrend",
+                                   "--k", "3", "--y", "4", flag, value)
+        assert code == 1 and stdout == ""
+        assert f"{flag[2:]} must be finite and > 0, got {value}" in stderr
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["construct"])  # --method missing
@@ -101,6 +109,12 @@ class TestVerify:
         path.write_text("{not json")
         code, _, stderr = run(capsys, "verify", str(path))
         assert code == 3 and "parse error" in stderr
+
+    def test_non_utf8_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 3 and "parse error" in stderr and stdout == ""
 
     def test_wrong_schema_exits_3(self, capsys, tmp_path):
         path = tmp_path / "schema.json"
@@ -152,6 +166,19 @@ class TestSweep:
         )
         assert code == 1
         assert "range '2' must be LO:HI" in stderr
+
+    @pytest.mark.parametrize("k_range, y_range, empty", [
+        ("4:2", "3:4", "4:2"),
+        ("2:3", "5:3", "5:3"),
+    ])
+    def test_empty_range_exits_1(self, capsys, tmp_path, k_range, y_range, empty):
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run(
+            capsys, "sweep", "--method", "behrend", "--k-range", k_range,
+            "--y-range", y_range, "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        assert f"range {empty!r} is empty" in stderr
 
     def test_behrend_leaves_fraction_blank(self, capsys, tmp_path):
         out = tmp_path / "sweep_b.csv"

@@ -87,7 +87,7 @@ class TestDecode:
             ]
             codes = encode_all(vs, y, k)
             assert codes == [encode(v, y) for v in vs]
-            assert [w.coords for w in decode_all(codes, k, y)] == vs
+            assert [tuple(row) for row in decode_all(codes, k, y).tolist()] == vs
 
     @pytest.mark.parametrize("k,y", [(30, 2), (31, 2), (20, 6), (27, 4), (9, 3)])
     def test_array_matches_scalar_on_both_sides_of_2_62(self, k, y):
@@ -99,7 +99,19 @@ class TestDecode:
         assert codes == [encode(tuple(int(c) for c in row), y) for row in coords]
         assert codes == encode_all([tuple(row) for row in coords.tolist()], y, k)
         assert all(type(c) is int for c in codes)
+        assert np.array_equal(decode_all(codes, k, y), coords)
         assert encode_all(np.empty((0, k), dtype=np.int64), y, k) == []
+        assert decode_all([], k, y).shape == (0, k)
+
+    @pytest.mark.parametrize("k,y", [(9, 3), (27, 4)])
+    def test_bulk_decode_rejects_non_codes(self, k, y):
+        # 6^9 takes the int64 path, 8^27 the Python-int one.
+        top = (2 * y) ** k
+        for bad in (-1, y, top, top + 1):
+            with pytest.raises(DigitOutOfRange):
+                decode_all([0, bad], k, y)
+        with pytest.raises(CoordOutOfRange):
+            encode_all([(y,) + (0,) * (k - 1)], y, k)
 
 
 class TestMidpointTransport:

@@ -1,8 +1,10 @@
 import io
 import itertools
 import math
+import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from apfree.lattice import (
     NormHistogram,
     ShellSelection,
     _coords_of_range,
+    _window_ends,
+    annulus_count,
     build_histogram,
     capped_ball_volume,
     count_capped_ball,
@@ -24,7 +28,7 @@ from apfree.lattice import (
     shell_points,
     write_histogram_csv,
 )
-from apfree.numeric import exact_moments
+from apfree.numeric import MomentSummary, exact_moments
 
 
 def brute_histogram(k: int, y: int) -> dict[int, int]:
@@ -119,6 +123,11 @@ class TestSelectBehrendShell:
         with pytest.raises(EmptyWindow):
             select_behrend_shell(hist, exact_moments(2, 3), 2.0)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_non_positive_or_non_finite_a(self, a):
+        with pytest.raises(ValueError, match="a must be finite and > 0"):
+            select_behrend_shell(build_histogram(2, 3), exact_moments(2, 3), a)
+
     def test_pigeonhole_floor_holds_on_grid(self):
         for k in range(1, 5):
             for y in range(2, 8):
@@ -128,6 +137,64 @@ class TestSelectBehrendShell:
                     floor = (1 - 1 / a**2) * y**k / (2 * a * moments.sigma_Z + 1)
                     assert shell.population >= floor - 1e-9
                     assert shell.meets_bound
+
+
+class TestClosedForms:
+    """The isqrt window ends and annulus count against their defining inequalities."""
+
+    YS = list(range(2, 61)) + [10**3, 10**6]
+
+    @staticmethod
+    def _check_ends(mu, bound_sq):
+        # [lo, hi] must be exactly the integers t with (t - mu)^2 <= bound_sq
+        lo, hi = _window_ends(mu, bound_sq)
+        for t in (lo - 1, lo, hi, hi + 1):
+            assert ((t - mu) ** 2 <= bound_sq) == (lo <= t <= hi), (mu, bound_sq, t)
+
+    def test_window_ends_on_cube_moments(self):
+        a_values = [Fraction(a) for a in (1, 1.5, 2, 3, math.sqrt(2), math.pi, math.e)]
+        for k in range(1, 41):
+            for y in self.YS:
+                moments = exact_moments(k, y)
+                for a in a_values:
+                    self._check_ends(moments.mu_Z, a * a * moments.var_Z)
+
+    def test_window_ends_on_random_rationals(self):
+        rng = random.Random(62)
+        for _ in range(3000):
+            mu = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+            root = Fraction(rng.randrange(0, 10**4), rng.randrange(1, 100))
+            self._check_ends(mu, root * root)
+            self._check_ends(mu, Fraction(rng.randrange(10**8), rng.randrange(1, 10**4)))
+            # both ends on integers: centre (lo+hi)/2, squared half-width a perfect square
+            lo = rng.randrange(-1000, 1000)
+            hi = lo + rng.randrange(0, 50)
+            assert _window_ends(Fraction(lo + hi, 2), Fraction(hi - lo, 2) ** 2) == (lo, hi)
+
+    @staticmethod
+    def _check_count(moments, g):
+        # ell is the least positive integer with ell * g >= 4 * sigma
+        var16 = 16 * moments.var_Z
+        ell = annulus_count(moments, g)
+        assert ell >= 1 and (ell * g) ** 2 >= var16, (moments, g, ell)
+        assert ell == 1 or ((ell - 1) * g) ** 2 < var16, (moments, g, ell)
+
+    def test_annulus_count_on_cube_moments(self):
+        for k in range(1, 41):
+            for y in self.YS:
+                moments = exact_moments(k, y)
+                for g in range(1, 30):
+                    self._check_count(moments, g)
+
+    def test_annulus_count_on_random_rationals(self):
+        rng = random.Random(63)
+        for c in range(1, 300):  # 4 * sigma = c exactly
+            for g in range(1, 30):
+                moments = MomentSummary(Fraction(0), Fraction(c * c, 16))
+                assert annulus_count(moments, g) == -(-c // g)
+        for _ in range(3000):
+            var = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**4))
+            self._check_count(MomentSummary(Fraction(0), var), rng.randrange(1, 30))
 
 
 class TestSelectElkinAnnulus:

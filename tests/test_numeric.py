@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,21 @@ class TestDefaultParams:
             assert derive_dimension(n) == expect
             assert derive_dimension(n) == math.ceil(math.sqrt(2 * math.log2(n)))
 
+    def test_dimension_is_least_k_with_2_to_k_squared_at_least_n_squared(self):
+        ns = set(range(2, 3000))
+        for k in range(1, 61):
+            edge = math.isqrt(2 ** (k * k))  # n^2 <= 2^(k^2) iff n <= edge
+            ns.update(range(max(2, edge - 2), edge + 3))
+        for j in range(1, 600):
+            ns.update((2**j - 1, 2**j, 2**j + 1))
+        rng = random.Random(64)
+        ns.update(rng.randrange(2, 2**rng.randrange(2, 800)) for _ in range(2000))
+        ns.discard(1)
+        for n in ns:
+            k = derive_dimension(n)
+            assert 2 ** (k * k) >= n * n, n
+            assert k == 1 or 2 ** ((k - 1) ** 2) < n * n, n
+
     @given(st.integers(min_value=10**4, max_value=10**30))
     @settings(max_examples=60, deadline=None)
     def test_encoded_elements_fit_below_n(self, n):
@@ -181,6 +197,12 @@ class TestConstructionParams:
     def test_rejects_small_y(self):
         with pytest.raises(DegenerateParameters):
             ConstructionParams(n=100, k=2, y=1)
+
+    @pytest.mark.parametrize("field", ["a", "epsilon"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_knobs(self, field, value):
+        with pytest.raises(DegenerateParameters, match=f"^{field} must be finite"):
+            ConstructionParams(n=36, k=2, y=3, **{field: value})
 
     def test_effective_g_clamps_to_one(self):
         p = ConstructionParams(n=36, k=2, y=3)

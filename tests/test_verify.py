@@ -9,11 +9,29 @@ from apfree.errors import BudgetExceeded
 from apfree.lattice import ShellSelection, lattice_vector, shell_members
 from apfree.numeric import ConstructionParams
 from apfree.verify import (
+    _convexly_independent_exact,
     convexly_independent,
     exact_nu,
     exact_nu_bb,
     midpoint_free,
 )
+
+@st.composite
+def point_lists(draw):
+    """Up to 9 points of Z^k, k in 1..4, some collinear, with coordinates on
+    either side of the int64 bound of convexly_independent."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    scale = draw(st.sampled_from([3, 2**40, 2**70]))
+    coord = st.integers(min_value=-scale, max_value=scale)
+    pts = draw(st.lists(st.tuples(*[coord] * k), max_size=7))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if len(pts) >= 2:
+            # b + j*(b - a) with j >= 1 puts b on the segment from a to the new point
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            j = draw(st.integers(min_value=1, max_value=3))
+            pts.append(tuple(bc + j * (bc - ac) for ac, bc in zip(a, b)))
+    return draw(st.permutations(pts))
+
 
 # Known optimum sizes for {1..n}, n = 1..20 (verifiable by hand for small n).
 KNOWN_NU = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9]
@@ -91,6 +109,12 @@ class TestConvexlyIndependent:
         pts = [(i, 0) for i in range(0, 20, 2)]
         with pytest.raises(BudgetExceeded):
             convexly_independent(pts, budget=5)
+
+    @given(point_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_exact_oracle(self, pts):
+        expect = len(set(pts)) == len(pts) and _convexly_independent_exact(pts)
+        assert convexly_independent(pts) == expect
 
     def test_big_coordinates_use_exact_path(self):
         w = 2**40
