@@ -6,9 +6,8 @@ norm, and map them to integers through the radix-2y digit map.  Vectors of a
 common norm admit no componentwise midpoints (a sphere is strictly convex),
 and the digit map transports midpoints, so the image is progression-free.
 
-The zero vector encodes to 0, which is outside [1, n-1]; a selection landing
-on T = 0 (whose only member is the origin) is re-run over the remaining
-norms in the window.
+The zero vector encodes to 0, which is outside [1, n-1], so the selection
+only considers norms T >= 1; the shell T = 0 would hold the origin alone.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import APFreeSet, encode_all
-from .errors import EmptyWindow
 from .lattice import (
     DEFAULT_BUDGET,
     LatticeVector,
-    NormHistogram,
     ShellSelection,
     build_histogram,
+    check_enumeration_budget,
     lattice_vectors,
     select_behrend_shell,
     shell_points,
@@ -47,11 +45,6 @@ class BehrendArtifact:
         return tuple(lattice_vectors(self.points))
 
 
-def _without_origin_bin(hist: NormHistogram) -> NormHistogram:
-    counts = {t: c for t, c in hist.counts.items() if t != 0}
-    return NormHistogram(k=hist.k, y=hist.y, counts=counts)
-
-
 def construct_behrend(
     params: ConstructionParams,
     budget: int = DEFAULT_BUDGET,
@@ -59,17 +52,10 @@ def construct_behrend(
 ) -> BehrendArtifact:
     """Run the full sphere-shell pipeline; threads has no effect."""
     k, y = params.k, params.y
+    check_enumeration_budget(k, y, budget)
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
     shell = select_behrend_shell(hist, moments, params.a)
-    if shell.t_low == 0:
-        # The T = 0 shell is exactly the origin, which cannot be encoded.
-        try:
-            shell = select_behrend_shell(_without_origin_bin(hist), moments, params.a)
-        except EmptyWindow:
-            raise EmptyWindow(
-                "only the origin lies in the Chebyshev window; no encodable shell"
-            ) from None
     points = shell_points(k, y, shell, budget)
     elements = tuple(sorted(encode_all(points, y, k)))
     assert len(elements) == len(points), "digit map must be injective on the cube"

@@ -37,6 +37,8 @@ from .lattice import (
     LatticeVector,
     ShellSelection,
     build_histogram,
+    check_enumeration_budget,
+    count_capped_ball,
     lattice_vectors,
     select_elkin_annulus,
     shell_points,
@@ -55,9 +57,11 @@ class DhatCheck(NamedTuple):
     ok: bool
 
 
-def _witness_count_overestimate(k: int, g: int) -> int:
-    # sum_h 2^h * C(k-1+h, h) dominates the number of vectors with norm^2 <= g
-    return sum(2**h * math.comb(k - 1 + h, h) for h in range(1, g + 1))
+def _witness_count(k: int, g: int, budget: int) -> int:
+    """Exact number of nonzero delta in Z^k with ||delta||^2 <= g, by the norm DP."""
+    if k < 1 or g < 1:
+        raise ValueError(f"need k >= 1 and g >= 1, got k={k}, g={g}")
+    return count_capped_ball(k, g, k + 1, budget) - 1
 
 
 def enumerate_witnesses(
@@ -67,12 +71,12 @@ def enumerate_witnesses(
 
     Lexicographic order (negative entries first); each vector appears once.
     The list is not halved by symmetry because the certificate test
-    0 <= <b, delta> <= g is not symmetric under delta -> -delta.
+    0 <= <b, delta> <= g is not symmetric under delta -> -delta.  The exact
+    count is checked against budget before anything is enumerated.
     """
-    if k < 1 or g < 1:
-        raise ValueError(f"need k >= 1 and g >= 1, got k={k}, g={g}")
-    if _witness_count_overestimate(k, g) > budget:
-        raise BudgetExceeded(f"witness enumeration for k={k}, g={g} exceeds {budget}")
+    count = _witness_count(k, g, budget)
+    if count > budget:
+        raise BudgetExceeded(f"{count} witnesses for k={k}, g={g} exceed {budget}")
     out: list[WitnessVector] = []
     prefix = [0] * k
 
@@ -159,11 +163,13 @@ def construct_elkin(
     """Run the annulus pipeline; an emptied filter is reported, not raised.
 
     Only the annulus points of the sub-cube [g+1, y-1]^k are enumerated and
-    filtered (see the module docstring).  The certificate dot products are
-    checked against budget before the filter runs.  threads has no effect.
+    filtered (see the module docstring).  The enumeration budget y^k is
+    checked before the census runs, and the certificate dot products before
+    the filter runs.  threads has no effect.
     """
     k, y = params.k, params.y
     g = params.effective_g()
+    check_enumeration_budget(k, y, budget)
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
     shell = select_elkin_annulus(hist, moments, g)
@@ -191,13 +197,13 @@ def construct_elkin(
 def dhat_bound_check(
     k: int, g: int, epsilon: float | None = None, budget: int = DEFAULT_BUDGET
 ) -> DhatCheck:
-    """Compare the enumerated witness count against 2 * 2^(eta * k).
+    """Compare the witness count, from the norm-count DP, against 2 * 2^(eta * k).
 
     The exponent uses the caller's epsilon when g <= epsilon * k (the normal
     regime); otherwise, e.g. when the g >= 1 clamp is active, it is evaluated
     at the effective ratio g / k.
     """
-    enumerated = len(enumerate_witnesses(k, g, budget))
+    enumerated = _witness_count(k, g, budget)
     if epsilon is not None and g <= epsilon * k:
         eps_eff = epsilon
     else:

@@ -4,10 +4,11 @@ The squared-norm histogram and the capped-ball counts come from one exact
 shift-add dynamic program over the squared norm: each coordinate adds
 w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
 convolution of the one-coordinate histogram, the same census an explicit
-enumeration would produce.  Shell extraction scans the cube in lexicographic
-order by unraveling chunks of ranks and returns the rows whose squared norm
-lies in the window as one (N, k) int64 array; it can be narrowed to a
-sub-cube [low, y-1]^k by unraveling in base y - low and adding low.
+enumeration would produce, at a cost of k * L * y cells for L norms, not y^k.
+Shell extraction scans the cube in lexicographic order by unraveling chunks
+of ranks, keeps the ranks whose squared norm lies in the window, and unravels
+those once into an (N, k) int64 array; it can be narrowed to a sub-cube
+[low, y-1]^k by unraveling in base y - low and adding low.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so the integer ends of a window are found in closed form with
@@ -86,7 +87,8 @@ class ShellSelection:
     meets_bound: bool
 
 
-def _check_budget(k: int, y: int, budget: int) -> None:
+def check_enumeration_budget(k: int, y: int, budget: int) -> None:
+    """Refuse an enumeration of the cube [0, y-1]^k when y^k exceeds budget."""
     if y**k > budget:
         raise BudgetExceeded(f"y^k = {y**k} exceeds the enumeration budget {budget}")
 
@@ -108,7 +110,7 @@ def _norm_counts(
     """
     work = len(weights) * length * (top + 1)
     if work > budget:
-        raise BudgetExceeded(f"norm-count work ~{work} exceeds the budget {budget}")
+        raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
     dtype = int_dtype(bound)
     h = np.ones(length, dtype=dtype) if cumulative else np.zeros(length, dtype=dtype)
     h[0] = 1
@@ -122,10 +124,9 @@ def _norm_counts(
 
 
 def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> NormHistogram:
-    """Exact squared-norm census of the cube [0, y-1]^k."""
+    """Exact squared-norm census of the cube [0, y-1]^k, priced by its DP work."""
     if k < 1 or y < 1:
         raise ValueError(f"need k >= 1 and y >= 1, got k={k}, y={y}")
-    _check_budget(k, y, budget)
     h = _norm_counts(k * (y - 1) ** 2 + 1, y - 1, [1] * k, y**k, budget)
     return NormHistogram(k=k, y=y, counts={t: c for t, c in enumerate(h.tolist()) if c})
 
@@ -163,10 +164,11 @@ def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
 def select_behrend_shell(
     hist: NormHistogram, moments: MomentSummary, a: float
 ) -> ShellSelection:
-    """Pick the most populated single squared norm inside [mu - a*sigma, mu + a*sigma].
+    """Pick the most populated squared norm t >= 1 inside [mu - a*sigma, mu + a*sigma].
 
-    Ties break toward the smallest norm.  The returned selection records the
-    pigeonhole floor (1 - 1/a^2) * y^k / (2*a*sigma + 1).
+    The norm 0 is skipped: its one member, the origin, encodes to 0, outside
+    [1, n].  Ties break toward the smallest norm.  The returned selection
+    records the pigeonhole floor (1 - 1/a^2) * y^k / (2*a*sigma + 1).
     """
     if not 0 < a < math.inf:
         raise ValueError(f"a must be finite and > 0, got {a}")
@@ -175,7 +177,7 @@ def select_behrend_shell(
     best_t = None
     best_count = 0
     for t in sorted(hist.counts):
-        if lo <= t <= hi and hist.counts[t] > best_count:
+        if max(lo, 1) <= t <= hi and hist.counts[t] > best_count:
             best_t, best_count = t, hist.counts[t]
     if best_t is None:
         raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
@@ -243,13 +245,17 @@ def select_elkin_annulus(
     )
 
 
+def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:
+    """Cube points of [0, y-1]^k with the given lexicographic ranks, as an array."""
+    coords = np.empty((len(ranks), k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        ranks, coords[:, j] = np.divmod(ranks, y)
+    return coords
+
+
 def _coords_of_range(start: int, stop: int, k: int, y: int) -> np.ndarray:
     """Cube points with lexicographic ranks in [start, stop), as an array."""
-    rem = np.arange(start, stop, dtype=np.int64)
-    coords = np.empty((stop - start, k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        rem, coords[:, j] = np.divmod(rem, y)
-    return coords
+    return _unravel(np.arange(start, stop, dtype=np.int64), k, y)
 
 
 def shell_points(
@@ -263,20 +269,23 @@ def shell_points(
     """
     if low < 0:
         raise ValueError(f"low must be >= 0, got {low}")
-    _check_budget(k, y, budget)
+    check_enumeration_budget(k, y, budget)
     t_low, t_high = shell.t_low, shell.t_high
     side = y - low
     # Skip first coordinates whose own square already exceeds the window top.
     first = max(min(y - 1, math.isqrt(max(t_high, 0))) - low + 1, 0)
     stop = first * side ** (k - 1)
-    parts = [np.empty((0, k), dtype=np.int64)]
+    # Keep 1-D ranks per chunk, not rows: many small row blocks fragment the heap.
+    kept = [np.empty(0, dtype=np.int64)]
     for start in range(0, stop, _CHUNK):
         coords = _coords_of_range(start, min(start + _CHUNK, stop), k, side)
         if low:
             coords += low
         norms = np.einsum("ij,ij->i", coords, coords)
-        parts.append(coords[(norms >= t_low) & (norms <= t_high)])
-    return np.concatenate(parts)
+        kept.append(np.flatnonzero((norms >= t_low) & (norms <= t_high)) + start)
+    points = _unravel(np.concatenate(kept), k, side)
+    points += low
+    return points
 
 
 def shell_members(

@@ -18,7 +18,7 @@ var_Z = k*(E[Y^4] - E[Y^2]^2) exactly.  Logarithms are base 2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -210,7 +210,7 @@ def derive_dimension(n: int) -> int:
 def default_params(n: int, method: str) -> ConstructionParams:
     """Derive (k, y) from n: k = ceil(sqrt(2 log2 n)), y = floor(n^(1/k) / 2).
 
-    The annulus method additionally gets g = max(1, floor(epsilon * k)).
+    The annulus method additionally gets g = effective_g().
     Raises DegenerateParameters when the derived y falls below 2.
     """
     method = method.lower()
@@ -224,9 +224,7 @@ def default_params(n: int, method: str) -> ConstructionParams:
         raise DegenerateParameters(f"n = {n} gives k = {k}, y = {y} < 2")
     params = ConstructionParams(n=n, k=k, y=y)
     if method == "elkin":
-        params = ConstructionParams(
-            n=n, k=k, y=y, g=max(1, math.floor(params.epsilon * k))
-        )
+        params = replace(params, g=params.effective_g())
     return params
 
 

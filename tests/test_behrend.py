@@ -1,12 +1,32 @@
+import itertools
+import time
+from fractions import Fraction
+
+import pytest
+
+from apfree import behrend
 from apfree.behrend import construct_behrend
-from apfree.codec import decode
-from apfree.lattice import shell_members
+from apfree.codec import decode, encode
+from apfree.errors import BudgetExceeded, EmptyWindow
+from apfree.lattice import _window_ends, build_histogram, shell_members
 from apfree.numeric import ConstructionParams, exact_moments
 from apfree.verify import convexly_independent, midpoint_free
 
 
 def params_for(k, y, **kw):
     return ConstructionParams(n=(2 * y) ** k, k=k, y=y, **kw)
+
+
+def two_step_shell(k, y, a):
+    """The most populated norm in the window, re-chosen among t != 0 if it is 0."""
+    moments = exact_moments(k, y)
+    lo, hi = _window_ends(moments.mu_Z, Fraction(a) ** 2 * moments.var_Z)
+    counts = build_histogram(k, y).counts
+    in_window = [t for t in sorted(counts) if lo <= t <= hi]
+    best = max(in_window, key=lambda t: (counts[t], -t), default=None)
+    if best == 0:
+        best = max(in_window[1:], key=lambda t: (counts[t], -t), default=None)
+    return best
 
 
 class TestConstructBehrend:
@@ -89,6 +109,31 @@ class TestConstructBehrend:
         art = construct_behrend(params_for(2, 4, a=10.0))
         assert art.shell.t_low == art.shell.t_high
         assert art.set.size == art.shell.population
+
+    def test_matches_the_two_step_origin_rule_on_small_cubes(self):
+        for k in range(1, 5):
+            for y in range(2, 7):
+                for a in (0.5, 1.0, 1.5, 2.0, 3.0):
+                    expected = two_step_shell(k, y, a)
+                    if expected is None:
+                        with pytest.raises(EmptyWindow):
+                            construct_behrend(params_for(k, y, a=a))
+                        continue
+                    art = construct_behrend(params_for(k, y, a=a))
+                    assert art.shell.t_low == art.shell.t_high == expected
+                    shell = [v for v in itertools.product(range(y), repeat=k)
+                             if sum(c * c for c in v) == expected]
+                    assert art.set.elements == tuple(sorted(encode(v, y) for v in shell))
+
+    def test_oversized_cube_is_refused_before_the_census(self, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(behrend, "build_histogram", tripwire)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="enumeration budget"):
+            construct_behrend(params_for(10, 10), budget=10**6)
+        assert time.perf_counter() - start < 1.0
 
     def test_artifact_is_reproducible(self):
         a1 = construct_behrend(params_for(3, 3))

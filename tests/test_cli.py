@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,15 @@ class TestConstruct:
                                    "--k", "3", "--y", "4", flag, value)
         assert code == 1 and stdout == ""
         assert f"{flag[2:]} must be finite and > 0, got {value}" in stderr
+
+    def test_oversized_cube_is_refused_before_the_census(self, capsys):
+        # n = 2^105 gives k=15, y=64: y^k = 2^90, while the census alone runs ~3 s.
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "construct", "--method", "behrend",
+                                   "--n", str(2**105))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "exceeds the enumeration budget" in stderr
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -242,6 +252,14 @@ class TestWitnessCount:
                                    "--budget", "1")
         assert code == 1 and stdout == ""
         assert "exceeds 1" in stderr
+
+    def test_large_k_is_counted_in_under_a_second(self, capsys):
+        start = time.perf_counter()
+        code, stdout, _ = run(capsys, "witness-count", "--k", "200", "--g", "8")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        fields = dict(part.split("=") for part in stdout.split())
+        assert fields["dhat"] == "14403447950873280"
 
 
 class TestHistogram:

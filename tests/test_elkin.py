@@ -79,6 +79,18 @@ class TestEnumerateWitnesses:
         with pytest.raises(BudgetExceeded):
             enumerate_witnesses(200, 8, budget=10**4)
 
+    def test_budget_is_checked_against_the_exact_count(self):
+        # k=4, g=2 has 32 witnesses
+        assert len(enumerate_witnesses(4, 2, budget=32)) == 32
+        with pytest.raises(BudgetExceeded, match="32 witnesses"):
+            enumerate_witnesses(4, 2, budget=31)
+
+    def test_dp_count_equals_enumeration(self):
+        for k in range(1, 9):
+            for g in range(1, 11):
+                check = dhat_bound_check(k, g)
+                assert check.enumerated == len(enumerate_witnesses(k, g)), (k, g)
+
 
 class TestFilterSurvivors:
     def test_interior_point_survives(self):
@@ -226,6 +238,16 @@ class TestConstructElkin:
         assert art.is_empty and art.annulus_points == 588_952
         assert art.removed == art.unit_removed == 588_952
 
+    def test_oversized_cube_is_refused_before_the_census(self, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(elkin, "build_histogram", tripwire)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="enumeration budget"):
+            construct_elkin(params_for(10, 10, 1), budget=10**6)
+        assert time.perf_counter() - start < 1.0
+
     def test_dot_products_are_refused_before_the_filter(self, monkeypatch):
         # For every (k, y, g) searched (y^k <= 2*10^6, g <= 11) the cube,
         # census or witness check binds before the dot products, so the
@@ -279,8 +301,25 @@ class TestDhatBoundCheck:
     def test_budget_is_passed_on(self):
         with pytest.raises(BudgetExceeded):
             dhat_bound_check(4, 2, budget=1)
-        # 2*C(4,1) + 4*C(5,2) = 48 is the admitted overestimate for k=4, g=2
-        assert dhat_bound_check(4, 2, budget=48).enumerated == 32
+        # the count DP for k=4, g=2 touches k * (g+1) * (isqrt(g)+1) = 24 cells
+        assert dhat_bound_check(4, 2, budget=24).enumerated == 32
+        with pytest.raises(BudgetExceeded):
+            dhat_bound_check(4, 2, budget=23)
+
+    def test_large_k_is_counted_not_enumerated(self, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("witnesses were enumerated")
+
+        monkeypatch.setattr(elkin, "enumerate_witnesses", tripwire)
+        # coefficients up to x^8 of (1 + 2x + 2x^4)^200, minus the origin
+        poly = [1]
+        for _ in range(200):
+            poly = [sum(c * (poly[d - s] if 0 <= d - s < len(poly) else 0)
+                        for s, c in ((0, 1), (1, 2), (4, 2))) for d in range(9)]
+        start = time.perf_counter()
+        check = dhat_bound_check(200, 8)
+        assert time.perf_counter() - start < 1.0
+        assert check.enumerated == sum(poly) - 1 == 14403447950873280
 
     def test_permutation_invariance(self):
         # the witness set is closed under coordinate permutation

@@ -71,9 +71,13 @@ class TestBuildHistogram:
         for k, y in [(2, 3), (4, 5), (6, 3), (3, 9)]:
             assert build_histogram(k, y).total() == y**k
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            build_histogram(10, 10, budget=10**6)
+    def test_census_is_priced_by_its_dp_not_the_cube(self):
+        # y^k = 10^10 exceeds the budget, but the DP touches only ~8e4 cells.
+        assert build_histogram(10, 10, budget=10**6).total() == 10**10
+        # The 2^64 parameters: y^k = 4.1e15, about 1e6 DP cells.
+        start = time.perf_counter()
+        assert build_histogram(12, 20).total() == 20**12
+        assert time.perf_counter() - start < 1.0
 
     def test_budget_covers_census_work(self):
         # y^k = 10^8 is admitted, but the census DP would touch ~4e12 cells.
@@ -122,6 +126,22 @@ class TestSelectBehrendShell:
         hist = NormHistogram(k=2, y=3, counts={100: 5})
         with pytest.raises(EmptyWindow):
             select_behrend_shell(hist, exact_moments(2, 3), 2.0)
+
+    def test_never_picks_the_origin(self):
+        moments = exact_moments(2, 3)
+        hist = NormHistogram(k=2, y=3, counts={0: 9, 4: 1})
+        assert select_behrend_shell(hist, moments, 2.0).t_low == 4
+        with pytest.raises(EmptyWindow):
+            select_behrend_shell(NormHistogram(k=2, y=3, counts={0: 9}), moments, 2.0)
+        for k in range(1, 7):
+            for y in range(2, 9):
+                hist = build_histogram(k, y)
+                for a in (0.5, 1.0, 1.5, 2.0, 3.0):
+                    try:
+                        shell = select_behrend_shell(hist, exact_moments(k, y), a)
+                    except EmptyWindow:
+                        continue
+                    assert shell.t_low >= 1
 
     @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_non_positive_or_non_finite_a(self, a):
