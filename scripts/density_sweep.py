@@ -15,6 +15,7 @@ import csv
 import sys
 
 from apfree import (
+    BudgetExceeded,
     DegenerateParameters,
     behrend_bound,
     construct_behrend,
@@ -42,16 +43,16 @@ def main() -> int:
             except DegenerateParameters as exc:
                 print(f"n=2^{e} {method}: {exc}", file=sys.stderr)
                 continue
-            if params.y ** params.k > args.budget:
-                print(f"n=2^{e} {method}: cube of {params.y}^{params.k} points "
-                      f"over budget, skipped", file=sys.stderr)
+            try:
+                if method == "behrend":
+                    art = construct_behrend(params, budget=args.budget)
+                    fraction = ""
+                else:
+                    art = construct_elkin(params, budget=args.budget)
+                    fraction = f"{art.survivor_fraction:.4f}"
+            except BudgetExceeded as exc:
+                print(f"n=2^{e} {method}: {exc}, skipped", file=sys.stderr)
                 continue
-            if method == "behrend":
-                art = construct_behrend(params, budget=args.budget)
-                fraction = ""
-            else:
-                art = construct_elkin(params, budget=args.budget)
-                fraction = f"{art.survivor_fraction:.4f}"
             rows.append({
                 "e": e, "method": method, "k": params.k, "y": params.y,
                 "size": art.set.size, "density": art.set.density,

@@ -32,7 +32,6 @@ from .lattice import (
     DEFAULT_BUDGET,
     DiscrepancyRecord,
     LatticeVector,
-    NormHistogram,
     ShellSelection,
     build_histogram,
     count_capped_ball,
@@ -79,7 +78,6 @@ __all__ = [
     "EmptyWindow",
     "LatticeVector",
     "MomentSummary",
-    "NormHistogram",
     "SetFormatError",
     "ShellSelection",
     "VerificationReport",

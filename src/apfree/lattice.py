@@ -1,10 +1,14 @@
 """The discrete cube [0, y-1]^k: norm census, shell selection, point counting.
 
-The squared-norm histogram and the capped-ball counts come from one exact
+The squared-norm census and the capped-ball counts come from one exact
 shift-add dynamic program over the squared norm: each coordinate adds
 w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
 convolution of the one-coordinate histogram, the same census an explicit
-enumeration would produce, at a cost of k * L * y cells for L norms, not y^k.
+enumeration would produce.  A census round reads only the norms the earlier
+rounds can reach, about k^2 * y^3 / 2 cells in all, not y^k.
+The census is one dense array, counts[t] for t = 0..k(y-1)^2, from the DP
+through selection to the CSV: both selections read it through slices and
+prefix sums and take one argmax.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
 of ranks, keeps the ranks whose squared norm lies in the window, and unravels
 those once into an (N, k) int64 array; it can be narrowed to a sub-cube
@@ -57,21 +61,6 @@ def lattice_vectors(points: np.ndarray) -> list[LatticeVector]:
 
 
 @dataclass(frozen=True)
-class NormHistogram:
-    """Population count per squared norm over the full cube (nonzero bins only)."""
-
-    k: int
-    y: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def population(self, t_low: int, t_high: int) -> int:
-        return sum(c for t, c in self.counts.items() if t_low <= t <= t_high)
-
-
-@dataclass(frozen=True)
 class ShellSelection:
     """A chosen squared-norm window [t_low, t_high] and its population.
 
@@ -105,37 +94,47 @@ def _norm_counts(
 
     One shift-add round per coordinate; weight w means the coordinate takes 0
     once and each of 1..top w times (w=1: [0, top], w=2: [-top, top]).  Counts
-    are int64 when bound < 2^62, Python ints (object dtype) otherwise.  The
-    work len(weights) * length * (top+1) is checked before anything is allocated.
+    are int64 when bound < 2^62, Python ints (object dtype) otherwise.  Before
+    round j a census is zero above j * top^2, so that round reads only
+    h[:reach_j]; a cumulative table is dense from the start.  The work
+    sum(reach_j) * (top+1) is checked before anything is allocated.
     """
-    work = len(weights) * length * (top + 1)
+    if cumulative:
+        reach = [length] * len(weights)
+    else:
+        reach = [min(j * top * top + 1, length) for j in range(len(weights))]
+    work = sum(reach) * (top + 1)
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
     dtype = int_dtype(bound)
     h = np.ones(length, dtype=dtype) if cumulative else np.zeros(length, dtype=dtype)
     h[0] = 1
-    for w in weights:
+    for w, r in zip(weights, reach):
         new = h.copy()
         for a in range(1, top + 1):
             sq = a * a
-            new[sq:] += w * h[: length - sq]
+            n = min(r, length - sq)
+            new[sq : sq + n] += w * h[:n]
         h = new
     return h
 
 
-def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> NormHistogram:
-    """Exact squared-norm census of the cube [0, y-1]^k, priced by its DP work."""
+def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Exact squared-norm census of the cube [0, y-1]^k, priced by its DP work.
+
+    counts[t] is the number of cube points of squared norm t, t = 0..k(y-1)^2;
+    int64, or object (Python ints) when y^k passes int64.
+    """
     if k < 1 or y < 1:
         raise ValueError(f"need k >= 1 and y >= 1, got k={k}, y={y}")
-    h = _norm_counts(k * (y - 1) ** 2 + 1, y - 1, [1] * k, y**k, budget)
-    return NormHistogram(k=k, y=y, counts={t: c for t, c in enumerate(h.tolist()) if c})
+    return _norm_counts(k * (y - 1) ** 2 + 1, y - 1, [1] * k, y**k, budget)
 
 
-def write_histogram_csv(hist: NormHistogram, fh: IO[str]) -> None:
-    """Dump as `norm_sq,count` rows, ascending by norm_sq."""
+def write_histogram_csv(counts: np.ndarray, fh: IO[str]) -> None:
+    """Dump the nonzero bins as `norm_sq,count` rows, ascending by norm_sq."""
     fh.write("norm_sq,count\n")
-    for t in sorted(hist.counts):
-        fh.write(f"{t},{hist.counts[t]}\n")
+    norms = np.flatnonzero(counts)
+    fh.writelines(f"{t},{c}\n" for t, c in zip(norms.tolist(), counts[norms].tolist()))
 
 
 def write_discrepancy_csv(records: Sequence[DiscrepancyRecord], fh: IO[str]) -> None:
@@ -162,32 +161,32 @@ def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
 
 
 def select_behrend_shell(
-    hist: NormHistogram, moments: MomentSummary, a: float
+    counts: np.ndarray, moments: MomentSummary, a: float
 ) -> ShellSelection:
     """Pick the most populated squared norm t >= 1 inside [mu - a*sigma, mu + a*sigma].
 
-    The norm 0 is skipped: its one member, the origin, encodes to 0, outside
-    [1, n].  Ties break toward the smallest norm.  The returned selection
-    records the pigeonhole floor (1 - 1/a^2) * y^k / (2*a*sigma + 1).
+    counts is the census from build_histogram.  The norm 0 is skipped: its
+    one member, the origin, encodes to 0, outside [1, n].  Ties break toward
+    the smallest norm.  The returned selection records the pigeonhole floor
+    (1 - 1/a^2) * y^k / (2*a*sigma + 1).
     """
     if not 0 < a < math.inf:
         raise ValueError(f"a must be finite and > 0, got {a}")
     a_frac = Fraction(a)
     lo, hi = _window_ends(moments.mu_Z, a_frac * a_frac * moments.var_Z)
-    best_t = None
-    best_count = 0
-    for t in sorted(hist.counts):
-        if max(lo, 1) <= t <= hi and hist.counts[t] > best_count:
-            best_t, best_count = t, hist.counts[t]
-    if best_t is None:
+    start = max(lo, 1)
+    in_window = counts[start : hi + 1]  # hi >= floor(mu) >= 0: the slice never wraps
+    best_count = int(in_window.max(initial=0))
+    if best_count == 0:
         raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
-    total = hist.y**hist.k
+    best = int(np.argmax(in_window))
+    total = int(counts.sum())
     sigma = moments.sigma_Z
     bound = float((1 - 1 / (a_frac * a_frac)) * total) / (2 * a * sigma + 1)
     window = (float(moments.mu_Z) - a * sigma, float(moments.mu_Z) + a * sigma)
     return ShellSelection(
-        t_low=best_t,
-        t_high=best_t,
+        t_low=start + best,
+        t_high=start + best,
         population=best_count,
         sigma_window=window,
         pigeonhole_bound=bound,
@@ -204,14 +203,17 @@ def annulus_count(moments: MomentSummary, g: int) -> int:
 
 
 def select_elkin_annulus(
-    hist: NormHistogram, moments: MomentSummary, g: int
+    counts: np.ndarray, moments: MomentSummary, g: int
 ) -> ShellSelection:
     """Pick the most populated sub-window of the a=2 Chebyshev window.
 
-    The window is tiled into ell = ceil(4*sigma/g) integer sub-windows: the
-    first ell-1 are half-open of width g (g integer norms each), the last is
-    closed and absorbs the remainder (at most g+1 norms).  Ties break toward
-    the smallest t_low.  The pigeonhole floor is ceil((3/4) * y^k / ell).
+    counts is the census from build_histogram.  The window is tiled into
+    ell = ceil(4*sigma/g) integer sub-windows: the first ell-1 are half-open
+    of width g (g integer norms each), the last is closed and absorbs the
+    remainder (at most g+1 norms).  Tiles may reach below norm 0 or past the
+    top of the census; their populations are differences of one prefix sum.
+    Ties break toward the smallest t_low.  The pigeonhole floor is
+    ceil((3/4) * y^k / ell).
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -219,25 +221,22 @@ def select_elkin_annulus(
     if lo0 > hi:
         raise EmptyWindow("the Chebyshev window contains no integer squared norm")
     ell = annulus_count(moments, g)
-    best: tuple[int, int] | None = None
-    best_count = 0
-    for i in range(1, ell + 1):
-        w_lo = lo0 + (i - 1) * g
-        w_hi = hi if i == ell else min(hi, w_lo + g - 1)
-        if w_lo > hi:
-            break
-        count = hist.population(w_lo, w_hi)
-        if count > best_count:
-            best, best_count = (w_lo, w_hi), count
-    if best is None:
+    starts = np.arange(lo0, hi + 1, g)[:ell]
+    ends = np.append(starts[1:] - 1, hi)
+    prefix = np.concatenate(([0], np.cumsum(counts)))  # prefix[i] = sum(counts[:i])
+    size = len(counts)
+    pops = prefix[np.clip(ends + 1, 0, size)] - prefix[np.clip(starts, 0, size)]
+    best = int(np.argmax(pops))
+    best_count = int(pops[best])
+    if best_count == 0:
         raise EmptyWindow(f"no populated squared norm in [{lo0}, {hi}]")
-    total = hist.y**hist.k
+    total = int(prefix[-1])
     bound = -((-3 * total) // (4 * ell))  # ceil(3*total / (4*ell))
     sigma = moments.sigma_Z
     window = (float(moments.mu_Z) - 2 * sigma, float(moments.mu_Z) + 2 * sigma)
     return ShellSelection(
-        t_low=best[0],
-        t_high=best[1],
+        t_low=int(starts[best]),
+        t_high=int(ends[best]),
         population=best_count,
         sigma_window=window,
         pigeonhole_bound=float(bound),

@@ -8,9 +8,11 @@ from apfree import behrend
 from apfree.behrend import construct_behrend
 from apfree.codec import decode, encode
 from apfree.errors import BudgetExceeded, EmptyWindow
-from apfree.lattice import _window_ends, build_histogram, shell_members
+from apfree.lattice import _window_ends, shell_members
 from apfree.numeric import ConstructionParams, exact_moments
 from apfree.verify import convexly_independent, midpoint_free
+
+from test_lattice import brute_histogram
 
 
 def params_for(k, y, **kw):
@@ -21,7 +23,7 @@ def two_step_shell(k, y, a):
     """The most populated norm in the window, re-chosen among t != 0 if it is 0."""
     moments = exact_moments(k, y)
     lo, hi = _window_ends(moments.mu_Z, Fraction(a) ** 2 * moments.var_Z)
-    counts = build_histogram(k, y).counts
+    counts = brute_histogram(k, y)
     in_window = [t for t in sorted(counts) if lo <= t <= hi]
     best = max(in_window, key=lambda t: (counts[t], -t), default=None)
     if best == 0:

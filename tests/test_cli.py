@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -267,6 +268,14 @@ class TestHistogram:
         code, stdout, _ = run(capsys, "histogram", "--k", "2", "--y", "3")
         assert code == 0
         assert stdout == "norm_sq,count\n0,1\n1,2\n2,1\n4,2\n5,2\n8,1\n"
+
+    def test_k2_y400_answers_at_the_default_budget(self, capsys):
+        code, stdout, _ = run(capsys, "histogram", "--k", "2", "--y", "400")
+        assert code == 0
+        squares = [x * x for x in range(400)]
+        brute = Counter(a + b for a in squares for b in squares)
+        expected = "".join(f"{t},{brute[t]}\n" for t in sorted(brute))
+        assert stdout == "norm_sq,count\n" + expected
 
     def test_negative_budget_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
-    NormHistogram,
     ShellSelection,
     _coords_of_range,
     _window_ends,
@@ -39,6 +38,80 @@ def brute_histogram(k: int, y: int) -> dict[int, int]:
     )
 
 
+def brute_census(k: int, y: int) -> np.ndarray:
+    """counts[t] for t = 0..k(y-1)^2, by binning the norm of every cube point."""
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        norms = (norms[:, None] + np.arange(y) ** 2).ravel()
+    return np.bincount(norms)
+
+
+def nonzero(counts: np.ndarray) -> dict[int, int]:
+    """The nonzero bins of a census array as {norm: count}."""
+    return {t: int(c) for t, c in enumerate(counts) if c}
+
+
+def census(bins: dict[int, int], length: int = 9) -> np.ndarray:
+    """A synthetic census array (default length 9, the k=2, y=3 census)."""
+    counts = np.zeros(length, dtype=np.int64)
+    for t, c in bins.items():
+        counts[t] = c
+    return counts
+
+
+def selection_outcome(select, *args):
+    """A selection as a comparable tuple, or the exception it raised."""
+    try:
+        s = select(*args)
+    except (EmptyWindow, ValueError) as exc:
+        return type(exc), str(exc)
+    return (s.t_low, s.t_high, s.population, type(s.population), s.pigeonhole_bound,
+            s.meets_bound, s.sigma_window)
+
+
+def reference_behrend_shell(bins: dict[int, int], moments, a):
+    """The most populated norm t >= 1 of the window, by a loop over nonzero bins."""
+    a_frac = Fraction(a)
+    lo, hi = _window_ends(moments.mu_Z, a_frac * a_frac * moments.var_Z)
+    best_t, best_count = None, 0
+    for t in sorted(bins):
+        if max(lo, 1) <= t <= hi and bins[t] > best_count:
+            best_t, best_count = t, bins[t]
+    if best_t is None:
+        raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
+    sigma = moments.sigma_Z
+    bound = float((1 - 1 / (a_frac * a_frac)) * sum(bins.values())) / (2 * a * sigma + 1)
+    return ShellSelection(
+        t_low=best_t, t_high=best_t, population=best_count,
+        sigma_window=(float(moments.mu_Z) - a * sigma, float(moments.mu_Z) + a * sigma),
+        pigeonhole_bound=bound, meets_bound=best_count >= bound - 1e-9,
+    )
+
+
+def reference_elkin_annulus(bins: dict[int, int], moments, g):
+    """The most populated tile of the a=2 window, one scan of the bins per tile."""
+    lo0, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
+    ell = annulus_count(moments, g)
+    best, best_count = None, 0
+    for i in range(1, ell + 1):
+        w_lo = lo0 + (i - 1) * g
+        w_hi = hi if i == ell else min(hi, w_lo + g - 1)
+        if w_lo > hi:
+            break
+        count = sum(c for t, c in bins.items() if w_lo <= t <= w_hi)
+        if count > best_count:
+            best, best_count = (w_lo, w_hi), count
+    if best is None:
+        raise EmptyWindow(f"no populated squared norm in [{lo0}, {hi}]")
+    bound = -((-3 * sum(bins.values())) // (4 * ell))
+    sigma = moments.sigma_Z
+    return ShellSelection(
+        t_low=best[0], t_high=best[1], population=best_count,
+        sigma_window=(float(moments.mu_Z) - 2 * sigma, float(moments.mu_Z) + 2 * sigma),
+        pigeonhole_bound=float(bound), meets_bound=best_count >= bound,
+    )
+
+
 def brute_capped_count(k: int, t: int, m: int) -> int:
     root = math.isqrt(t)
     count = 0
@@ -54,29 +127,29 @@ def brute_capped_count(k: int, t: int, m: int) -> int:
 
 class TestBuildHistogram:
     def test_k2_y3(self):
-        assert build_histogram(2, 3).counts == {0: 1, 1: 2, 2: 1, 4: 2, 5: 2, 8: 1}
+        assert nonzero(build_histogram(2, 3)) == {0: 1, 1: 2, 2: 1, 4: 2, 5: 2, 8: 1}
 
     def test_k1_y2(self):
-        assert build_histogram(1, 2).counts == {0: 1, 1: 1}
+        assert nonzero(build_histogram(1, 2)) == {0: 1, 1: 1}
 
     def test_k3_y2_binomials(self):
-        assert build_histogram(3, 2).counts == {0: 1, 1: 3, 2: 3, 3: 1}
+        assert nonzero(build_histogram(3, 2)) == {0: 1, 1: 3, 2: 3, 3: 1}
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=6))
     @settings(max_examples=30, deadline=None)
     def test_matches_enumeration(self, k, y):
-        assert build_histogram(k, y).counts == brute_histogram(k, y)
+        assert nonzero(build_histogram(k, y)) == brute_histogram(k, y)
 
     def test_total_is_cube_size(self):
         for k, y in [(2, 3), (4, 5), (6, 3), (3, 9)]:
-            assert build_histogram(k, y).total() == y**k
+            assert build_histogram(k, y).sum() == y**k
 
     def test_census_is_priced_by_its_dp_not_the_cube(self):
         # y^k = 10^10 exceeds the budget, but the DP touches only ~8e4 cells.
-        assert build_histogram(10, 10, budget=10**6).total() == 10**10
+        assert build_histogram(10, 10, budget=10**6).sum() == 10**10
         # The 2^64 parameters: y^k = 4.1e15, about 1e6 DP cells.
         start = time.perf_counter()
-        assert build_histogram(12, 20).total() == 20**12
+        assert build_histogram(12, 20).sum() == 20**12
         assert time.perf_counter() - start < 1.0
 
     def test_budget_covers_census_work(self):
@@ -88,11 +161,11 @@ class TestBuildHistogram:
 
     def test_counts_beyond_int64(self):
         hist = build_histogram(30, 5, budget=10**22)
-        assert hist.total() == 5**30 > 2**63
-        assert all(type(c) is int for c in hist.counts.values())
+        assert hist.sum() == 5**30 > 2**63
+        assert all(type(c) is int for c in hist)
 
     def test_large_side_matches_enumeration(self):
-        assert build_histogram(2, 200).counts == brute_histogram(2, 200)
+        assert nonzero(build_histogram(2, 200)) == brute_histogram(2, 200)
 
     def test_csv_dump(self):
         buf = io.StringIO()
@@ -113,7 +186,7 @@ class TestSelectBehrendShell:
         assert shell.meets_bound
 
     def test_single_populated_bin(self):
-        hist = NormHistogram(k=2, y=3, counts={4: 7})
+        hist = census({4: 7})
         shell = select_behrend_shell(hist, exact_moments(2, 3), 2.0)
         assert (shell.t_low, shell.population) == (4, 7)
 
@@ -123,16 +196,16 @@ class TestSelectBehrendShell:
         assert (shell.t_low, shell.population) == (1, 3)
 
     def test_empty_window(self):
-        hist = NormHistogram(k=2, y=3, counts={100: 5})
+        hist = census({100: 5}, length=101)
         with pytest.raises(EmptyWindow):
             select_behrend_shell(hist, exact_moments(2, 3), 2.0)
 
     def test_never_picks_the_origin(self):
         moments = exact_moments(2, 3)
-        hist = NormHistogram(k=2, y=3, counts={0: 9, 4: 1})
+        hist = census({0: 9, 4: 1})
         assert select_behrend_shell(hist, moments, 2.0).t_low == 4
         with pytest.raises(EmptyWindow):
-            select_behrend_shell(NormHistogram(k=2, y=3, counts={0: 9}), moments, 2.0)
+            select_behrend_shell(census({0: 9}), moments, 2.0)
         for k in range(1, 7):
             for y in range(2, 9):
                 hist = build_histogram(k, y)
@@ -260,13 +333,84 @@ class TestSelectElkinAnnulus:
                     lo = moments.mu_Z - 2 * moments.sigma_Z
                     hi = moments.mu_Z + 2 * moments.sigma_Z
                     captured = sum(
-                        c for t, c in hist.counts.items() if lo <= t <= hi
+                        c for t, c in enumerate(hist.tolist()) if lo <= t <= hi
                     )
                     assert captured >= 0.75 * y**k
                     shell = select_elkin_annulus(hist, moments, g)
                     ell = annulus_count(moments, g)
                     assert shell.population >= 0.75 * y**k / ell - 1
                     assert shell.meets_bound
+
+
+class TestSelectionAgainstReference:
+    """Both selections against loops over a brute census's nonzero bins."""
+
+    def test_elkin_equals_tile_loop(self):
+        below_zero = past_top = 0
+        for k in range(1, 7):
+            for y in range(2, 12):
+                counts = build_histogram(k, y)
+                bins = nonzero(brute_census(k, y))
+                moments = exact_moments(k, y)
+                for g in range(1, 13):
+                    got = selection_outcome(select_elkin_annulus, counts, moments, g)
+                    want = selection_outcome(reference_elkin_annulus, bins, moments, g)
+                    assert got == want, (k, y, g)
+                    lo0, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
+                    below_zero += lo0 < 0
+                    past_top += hi > len(counts) - 1
+        # The grid reaches both edges of the census.
+        assert below_zero and past_top
+
+    def test_elkin_window_far_past_a_short_census(self):
+        # Synthetic moments put whole tiles below norm 0 and above the top.
+        counts = census({0: 1, 1: 2, 2: 5}, length=3)
+        for mu, var in [(1, 100), (Fraction(7, 3), 50), (0, 9), (2, Fraction(1, 16))]:
+            moments = MomentSummary(Fraction(mu), Fraction(var))
+            for g in range(1, 13):
+                got = selection_outcome(select_elkin_annulus, counts, moments, g)
+                want = selection_outcome(
+                    reference_elkin_annulus, nonzero(counts), moments, g
+                )
+                assert got == want, (mu, var, g)
+
+    def test_behrend_extreme_windows(self):
+        empty = 0
+        for k in range(1, 7):
+            for y in range(2, 12):
+                counts = build_histogram(k, y)
+                bins = nonzero(brute_census(k, y))
+                moments = exact_moments(k, y)
+                for a in (1e-3, 10**6):
+                    got = selection_outcome(select_behrend_shell, counts, moments, a)
+                    want = selection_outcome(reference_behrend_shell, bins, moments, a)
+                    assert got == want, (k, y, a)
+                    empty += got[0] is EmptyWindow
+                # a = 10^6 covers the whole census: the largest bin above norm 0.
+                wide = select_behrend_shell(counts, moments, 10**6)
+                assert wide.population == max(c for t, c in bins.items() if t)
+        assert empty  # some tiny windows hold no integer norm
+
+    def test_object_dtype_census(self):
+        for k, y in [(30, 5), (20, 9)]:
+            counts = build_histogram(k, y, budget=10**9)
+            assert counts.dtype == object
+            bins = nonzero(counts)
+            moments = exact_moments(k, y)
+            for a in (0.5, 1.0, 2.0, 3.0, 10**6):
+                got = selection_outcome(select_behrend_shell, counts, moments, a)
+                assert got == selection_outcome(reference_behrend_shell, bins, moments, a)
+                assert got[3] is int
+            for g in (1, 2, 5, 40):
+                got = selection_outcome(select_elkin_annulus, counts, moments, g)
+                assert got == selection_outcome(reference_elkin_annulus, bins, moments, g)
+                assert got[3] is int
+
+    def test_elkin_selection_is_linear_in_the_census(self):
+        counts, moments = build_histogram(3, 60), exact_moments(3, 60)
+        start = time.perf_counter()
+        select_elkin_annulus(counts, moments, 1)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestShellMembers:
@@ -299,7 +443,7 @@ class TestShellMembers:
         hist = build_histogram(4, 4)
         for lo, hi in [(0, 5), (7, 9), (12, 12), (30, 40)]:
             members = shell_members(4, 4, self._shell(lo, hi))
-            assert len(members) == hist.population(lo, hi)
+            assert len(members) == hist[max(lo, 0) : hi + 1].sum()
 
     def test_thread_counts_agree(self):
         base = shell_members(3, 7, self._shell(20, 30), threads=1)
