@@ -5,7 +5,8 @@ shift-add dynamic program over the squared norm: each coordinate adds
 w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
 convolution of the one-coordinate histogram, the same census an explicit
 enumeration would produce.  A census round reads only the norms the earlier
-rounds can reach, about k^2 * y^3 / 2 cells in all, not y^k.
+rounds can reach, about k^2 * y^3 / 2 cells in all, plus one copy of the
+k(y-1)^2 + 1 cells per round; not y^k.
 The census is one dense array, counts[t] for t = 0..k(y-1)^2, from the DP
 through selection to the CSV: both selections read it through slices and
 prefix sums and take one argmax.
@@ -96,14 +97,15 @@ def _norm_counts(
     once and each of 1..top w times (w=1: [0, top], w=2: [-top, top]).  Counts
     are int64 when bound < 2^62, Python ints (object dtype) otherwise.  Before
     round j a census is zero above j * top^2, so that round reads only
-    h[:reach_j]; a cumulative table is dense from the start.  The work
-    sum(reach_j) * (top+1) is checked before anything is allocated.
+    h[:reach_j]; a cumulative table is dense from the start.  Each round also
+    copies all length cells, so the work sum(reach_j) * top + rounds * length
+    is checked before anything is allocated.
     """
     if cumulative:
         reach = [length] * len(weights)
     else:
         reach = [min(j * top * top + 1, length) for j in range(len(weights))]
-    work = sum(reach) * (top + 1)
+    work = sum(reach) * top + len(weights) * length
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
     dtype = int_dtype(bound)

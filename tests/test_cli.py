@@ -86,12 +86,14 @@ class TestConstruct:
 
     def test_oversized_cube_is_refused_before_the_census(self, capsys):
         # n = 2^105 gives k=15, y=64: y^k = 2^90, while the census alone runs ~3 s.
-        start = time.perf_counter()
-        code, stdout, stderr = run(capsys, "construct", "--method", "behrend",
-                                   "--n", str(2**105))
-        assert time.perf_counter() - start < 1.0
-        assert code == 1 and stdout == ""
-        assert "exceeds the enumeration budget" in stderr
+        # k=1, y=10^6 passes the cube check; its census array would hold ~1e12 cells.
+        for size, refusal in [(["--n", str(2**105)], "exceeds the enumeration budget"),
+                              (["--k", "1", "--y", str(10**6)], "norm-count work")]:
+            start = time.perf_counter()
+            code, stdout, stderr = run(capsys, "construct", "--method", "behrend", *size)
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and stdout == ""
+            assert refusal in stderr
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import math
@@ -30,20 +31,14 @@ from apfree.lattice import (
 from apfree.numeric import MomentSummary, exact_moments
 
 
+@functools.cache
 def brute_histogram(k: int, y: int) -> dict[int, int]:
+    """{norm: count} over every cube point; cached, so callers must not mutate it."""
     return dict(
         Counter(
             sum(c * c for c in v) for v in itertools.product(range(y), repeat=k)
         )
     )
-
-
-def brute_census(k: int, y: int) -> np.ndarray:
-    """counts[t] for t = 0..k(y-1)^2, by binning the norm of every cube point."""
-    norms = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
-        norms = (norms[:, None] + np.arange(y) ** 2).ravel()
-    return np.bincount(norms)
 
 
 def nonzero(counts: np.ndarray) -> dict[int, int]:
@@ -153,11 +148,13 @@ class TestBuildHistogram:
         assert time.perf_counter() - start < 1.0
 
     def test_budget_covers_census_work(self):
-        # y^k = 10^8 is admitted, but the census DP would touch ~4e12 cells.
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
-            build_histogram(2, 10**4)
-        assert time.perf_counter() - start < 1.0
+        # y^k = 10^8 is admitted, but the census DP would touch ~4e12 cells;
+        # k=1 reads one cell, but each round copies the ~1e10-cell array.
+        for k, y in [(2, 10**4), (1, 10**5)]:
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                build_histogram(k, y)
+            assert time.perf_counter() - start < 1.0
 
     def test_counts_beyond_int64(self):
         hist = build_histogram(30, 5, budget=10**22)
@@ -350,7 +347,7 @@ class TestSelectionAgainstReference:
         for k in range(1, 7):
             for y in range(2, 12):
                 counts = build_histogram(k, y)
-                bins = nonzero(brute_census(k, y))
+                bins = brute_histogram(k, y)
                 moments = exact_moments(k, y)
                 for g in range(1, 13):
                     got = selection_outcome(select_elkin_annulus, counts, moments, g)
@@ -379,7 +376,7 @@ class TestSelectionAgainstReference:
         for k in range(1, 7):
             for y in range(2, 12):
                 counts = build_histogram(k, y)
-                bins = nonzero(brute_census(k, y))
+                bins = brute_histogram(k, y)
                 moments = exact_moments(k, y)
                 for a in (1e-3, 10**6):
                     got = selection_outcome(select_behrend_shell, counts, moments, a)
