@@ -13,7 +13,6 @@ from .behrend import BehrendArtifact, construct_behrend
 from .codec import APFreeSet, decode, encode, read_set
 from .elkin import (
     ElkinArtifact,
-    WitnessVector,
     construct_elkin,
     dhat_bound_check,
     enumerate_witnesses,
@@ -31,12 +30,10 @@ from .errors import (
 from .lattice import (
     DEFAULT_BUDGET,
     DiscrepancyRecord,
-    LatticeVector,
     ShellSelection,
     build_histogram,
     count_capped_ball,
     discrepancy_scan,
-    lattice_vector,
     select_behrend_shell,
     select_elkin_annulus,
     shell_members,
@@ -76,12 +73,10 @@ __all__ = [
     "DiscrepancyRecord",
     "ElkinArtifact",
     "EmptyWindow",
-    "LatticeVector",
     "MomentSummary",
     "SetFormatError",
     "ShellSelection",
     "VerificationReport",
-    "WitnessVector",
     "ball_volume",
     "behrend_bound",
     "build_histogram",
@@ -102,7 +97,6 @@ __all__ = [
     "exact_nu_bb",
     "filter_survivors",
     "gamma_half_integer",
-    "lattice_vector",
     "midpoint_free",
     "read_set",
     "select_behrend_shell",

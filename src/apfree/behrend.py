@@ -19,11 +19,9 @@ import numpy as np
 from .codec import APFreeSet, encode_all
 from .lattice import (
     DEFAULT_BUDGET,
-    LatticeVector,
     ShellSelection,
     build_histogram,
     check_enumeration_budget,
-    lattice_vectors,
     select_behrend_shell,
     shell_points,
 )
@@ -38,11 +36,6 @@ class BehrendArtifact:
     shell: ShellSelection
     points: np.ndarray = field(compare=False)
     set: APFreeSet
-
-    @property
-    def vectors(self) -> tuple[LatticeVector, ...]:
-        """The points as LatticeVectors, built on every read."""
-        return tuple(lattice_vectors(self.points))
 
 
 def construct_behrend(

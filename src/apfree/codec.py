@@ -6,8 +6,10 @@ half the radix, addition of two codes is carry-free, which is what makes
 the map transport midpoints: if v_hat = (u_hat + w_hat)/2 for cube vectors
 then v = (u + w)/2 coordinate by coordinate.
 
-encode_all and decode_all do the same for many vectors at once in one numpy
-body, in int64 while (2y)^k < 2^62 and in Python ints (object dtype) above.
+A vector is any sequence of k integer coordinates, a tuple or a row of an
+(N, k) int64 array; decode returns it as a tuple of ints.  encode_all and
+decode_all do the same for many vectors at once in one numpy body, in int64
+while (2y)^k < 2^62 and in Python ints (object dtype) above.
 
 Sets are interchanged as JSON (schema "apfree-set/1") with elements as
 decimal strings, since codes routinely exceed 64 bits.
@@ -19,12 +21,11 @@ import csv
 import json
 import time
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import CoordOutOfRange, DigitOutOfRange, SetFormatError
-from .lattice import LatticeVector, lattice_vector
 from .numeric import ConstructionParams, int_dtype
 
 SCHEMA = "apfree-set/1"
@@ -32,17 +33,12 @@ SCHEMA = "apfree-set/1"
 _METHODS = ("behrend", "elkin", "exact", "external")
 
 
-def _coords_of(v) -> Sequence[int]:
-    return v.coords if hasattr(v, "coords") else v
-
-
-def encode(v, y: int) -> int:
+def encode(v: Sequence[int], y: int) -> int:
     """Evaluate the coordinates of v as little-endian base-(2y) digits."""
-    coords = _coords_of(v)
     radix = 2 * y
     code = 0
     power = 1
-    for c in coords:
+    for c in v:
         if not 0 <= c <= y - 1:
             raise CoordOutOfRange(f"coordinate {c} outside [0, {y - 1}]")
         code += int(c) * power  # a numpy digit times a radix power past 2^63 overflows
@@ -50,7 +46,7 @@ def encode(v, y: int) -> int:
     return code
 
 
-def decode(x: int, k: int, y: int) -> LatticeVector:
+def decode(x: int, k: int, y: int) -> tuple[int, ...]:
     """Invert encode; rejects integers that are not codes of cube vectors."""
     if x < 0:
         raise DigitOutOfRange(f"{x} is negative")
@@ -64,13 +60,12 @@ def decode(x: int, k: int, y: int) -> LatticeVector:
         digits.append(d)
     if rem != 0:
         raise DigitOutOfRange(f"{x} has more than {k} base-{radix} digits")
-    return lattice_vector(tuple(digits))
+    return tuple(digits)
 
 
-def encode_all(vectors: Iterable, y: int, k: int) -> list[int]:
-    """Codes of k-dimensional vectors or of the rows of an (N, k) array, as ints."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = [_coords_of(v) for v in vectors]
+def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
+    """Codes of k-dimensional coordinate sequences or of the rows of an (N, k)
+    array, as ints."""
     coords = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), k)
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")

@@ -17,6 +17,11 @@ full filter removes, and each point it keeps is still tested against every
 witness.  The annulus size comes from the census, so the points the unit
 witnesses remove number the annulus size minus the sub-cube's share of it.
 
+Annulus points, witnesses and survivors are (N, k) int64 arrays, and the
+filter is one chunked matrix product of points with witnesses.
+filter_survivors takes any sequence of points and returns its survivors as
+a list of plain int tuples.
+
 The filter can empty the annulus at desk scale (small y relative to g); that
 outcome is reported on the artifact, never raised, so parameter sweeps can
 record it.
@@ -25,7 +30,7 @@ record it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,21 +39,14 @@ from .codec import APFreeSet, encode_all
 from .errors import BudgetExceeded
 from .lattice import (
     DEFAULT_BUDGET,
-    LatticeVector,
     ShellSelection,
     build_histogram,
     check_enumeration_budget,
     count_capped_ball,
-    lattice_vectors,
     select_elkin_annulus,
     shell_points,
 )
 from .numeric import ConstructionParams, eta, exact_moments
-
-
-class WitnessVector(NamedTuple):
-    delta: tuple[int, ...]
-    norm_sq: int
 
 
 class DhatCheck(NamedTuple):
@@ -64,47 +62,45 @@ def _witness_count(k: int, g: int, budget: int) -> int:
     return count_capped_ball(k, g, k + 1, budget) - 1
 
 
-def enumerate_witnesses(
-    k: int, g: int, budget: int = DEFAULT_BUDGET
-) -> list[WitnessVector]:
-    """All nonzero integer vectors delta in Z^k with ||delta||^2 <= g.
+def enumerate_witnesses(k: int, g: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """All nonzero integer vectors delta in Z^k with ||delta||^2 <= g, as an
+    (M, k) int64 array.
 
-    Lexicographic order (negative entries first); each vector appears once.
-    The list is not halved by symmetry because the certificate test
-    0 <= <b, delta> <= g is not symmetric under delta -> -delta.  The exact
-    count is checked against budget before anything is enumerated.
+    Rows are in lexicographic order (negative entries first), each vector
+    once.  The set is closed under delta -> -delta, and in this order row i
+    is minus row M-1-i.  It is not halved all the same: the filter tests the
+    one-sided 0 <= <b, delta> <= g on every row (half the set would need the
+    two-sided |<b, delta>| <= g), and witness-count reports the full count.
+
+    Built level by level: each kept prefix is extended by every digit in
+    [-isqrt(g), isqrt(g)] and the prefixes of squared norm <= g are kept.  A
+    kept prefix pads with zeros to a distinct witness or to zero, so no level
+    holds more than (count + 1) * (2*isqrt(g) + 1) rows, and the exact count,
+    checked against budget before anything is built, also bounds memory.
     """
     count = _witness_count(k, g, budget)
     if count > budget:
         raise BudgetExceeded(f"{count} witnesses for k={k}, g={g} exceed {budget}")
-    out: list[WitnessVector] = []
-    prefix = [0] * k
-
-    def rec(pos: int, rem: int) -> None:
-        if pos == k:
-            norm = g - rem
-            if norm > 0:
-                out.append(WitnessVector(tuple(prefix), norm))
-            return
-        top = math.isqrt(rem)
-        for c in range(-top, top + 1):
-            prefix[pos] = c
-            rec(pos + 1, rem - c * c)
-        prefix[pos] = 0
-
-    rec(0, g)
-    return out
+    digits = np.arange(-math.isqrt(g), math.isqrt(g) + 1, dtype=np.int64)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        n = len(prefixes)
+        prefixes = np.column_stack(
+            (np.repeat(prefixes, len(digits), axis=0), np.tile(digits, n))
+        )
+        norms = np.repeat(norms, len(digits)) + np.tile(digits * digits, n)
+        within = norms <= g
+        prefixes, norms = prefixes[within], norms[within]
+    return prefixes[norms > 0]
 
 
-def _uncertified(
-    points: np.ndarray, witnesses: Sequence[WitnessVector], g: int
-) -> np.ndarray:
-    """Mask of the rows b of an (N, k) array with no witness delta giving
+def _uncertified(points: np.ndarray, deltas: np.ndarray, g: int) -> np.ndarray:
+    """Mask of the rows b of an (N, k) array with no witness row delta giving
     0 <= <b, delta> <= g."""
     keep = np.ones(len(points), dtype=bool)
-    deltas = np.array([w.delta for w in witnesses], dtype=np.int64)
-    deltas = deltas.reshape(len(witnesses), points.shape[1])
-    chunk = max(1, (1 << 22) // max(1, len(witnesses)))
+    deltas = np.asarray(deltas, dtype=np.int64).reshape(len(deltas), points.shape[1])
+    chunk = max(1, (1 << 22) // max(1, len(deltas)))
     for start in range(0, len(points), chunk):
         dots = points[start : start + chunk] @ deltas.T
         keep[start : start + chunk] = ~((dots >= 0) & (dots <= g)).any(axis=1)
@@ -112,22 +108,20 @@ def _uncertified(
 
 
 def filter_survivors(
-    points: Sequence[LatticeVector],
-    witnesses: Sequence[WitnessVector],
-    g: int,
-) -> tuple[list[LatticeVector], int]:
+    points: Sequence[Sequence[int]], witnesses: np.ndarray, g: int
+) -> tuple[list[tuple[int, ...]], int]:
     """Keep points b whose every witness dot product avoids [0, g].
 
-    Survivors are returned in input order.  A removed point had some delta
-    with 0 <= <b, delta> <= g, the certificate that b may be expressible as
-    a convex combination of other ball points.
+    points is any sequence of coordinate sequences, or an (N, k) array.
+    Survivors are returned in input order as a list of plain int tuples.  A
+    removed point had some delta with 0 <= <b, delta> <= g, the certificate
+    that b may be expressible as a convex combination of other ball points.
     """
-    if not points:
+    if len(points) == 0:
         return [], 0
-    keep = _uncertified(np.array([p.coords for p in points], dtype=np.int64),
-                        witnesses, g)
-    survivors = [p for p, ok in zip(points, keep.tolist()) if ok]
-    return survivors, len(points) - len(survivors)
+    rows = np.asarray(points, dtype=np.int64)
+    survivors = list(map(tuple, rows[_uncertified(rows, witnesses, g)].tolist()))
+    return survivors, len(rows) - len(survivors)
 
 
 @dataclass(frozen=True)
@@ -141,14 +135,14 @@ class ElkinArtifact:
     params: ConstructionParams
     shell: ShellSelection
     annulus_points: int
-    survivors: tuple[LatticeVector, ...]
+    survivors: np.ndarray = field(compare=False)
     removed: int
     unit_removed: int
     set: APFreeSet
 
     @property
     def is_empty(self) -> bool:
-        return not self.survivors
+        return len(self.survivors) == 0
 
     @property
     def survivor_fraction(self) -> float:
@@ -187,7 +181,7 @@ def construct_elkin(
         params=params,
         shell=shell,
         annulus_points=shell.population,
-        survivors=tuple(lattice_vectors(kept)),
+        survivors=kept,
         removed=shell.population - len(kept),
         unit_removed=shell.population - len(points),
         set=apset,

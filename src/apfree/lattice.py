@@ -13,7 +13,9 @@ prefix sums and take one argmax.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
 of ranks, keeps the ranks whose squared norm lies in the window, and unravels
 those once into an (N, k) int64 array; it can be narrowed to a sub-cube
-[low, y-1]^k by unraveling in base y - low and adding low.
+[low, y-1]^k by unraveling in base y - low and adding low.  That array is
+the one point type of the pipelines; shell_members gives the same rows as a
+list of plain int tuples for callers that want a Python sequence.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so the integer ends of a window are found in closed form with
@@ -30,7 +32,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -42,23 +44,6 @@ DEFAULT_BUDGET = 10**8
 
 #: Rows unraveled per scan step; measured faster than larger chunks (cache-sized).
 _CHUNK = 1 << 14
-
-
-class LatticeVector(NamedTuple):
-    coords: tuple[int, ...]
-    norm_sq: int
-
-
-def lattice_vector(coords: Sequence[int]) -> LatticeVector:
-    """Build a LatticeVector with its squared norm computed, not trusted."""
-    coords = tuple(int(c) for c in coords)
-    return LatticeVector(coords, sum(c * c for c in coords))
-
-
-def lattice_vectors(points: np.ndarray) -> list[LatticeVector]:
-    """LatticeVectors of the rows of an (N, k) int array, in row order."""
-    norms = np.einsum("ij,ij->i", points, points).tolist()
-    return [LatticeVector(tuple(row), t) for row, t in zip(points.tolist(), norms)]
 
 
 @dataclass(frozen=True)
@@ -291,9 +276,9 @@ def shell_points(
 
 def shell_members(
     k: int, y: int, shell: ShellSelection, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> list[LatticeVector]:
-    """shell_points as LatticeVectors; threads is accepted and has no effect."""
-    return lattice_vectors(shell_points(k, y, shell, budget))
+) -> list[tuple[int, ...]]:
+    """shell_points as a list of plain int tuples; threads has no effect."""
+    return list(map(tuple, shell_points(k, y, shell, budget).tolist()))
 
 
 def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:

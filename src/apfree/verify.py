@@ -68,14 +68,18 @@ def midpoint_free(s: Iterable[int] | APFreeSet) -> VerificationReport:
     return VerificationReport(ok=True, witness=None, pairs_checked=pairs)
 
 
-def convexly_independent(vectors: Sequence, budget: int = CONVEX_BUDGET) -> bool:
+def convexly_independent(
+    vectors: Sequence[Sequence[int]], budget: int = CONVEX_BUDGET
+) -> bool:
     """True iff no vector lies on the segment spanned by two others.
 
+    vectors is any sequence of coordinate sequences, or an (N, k) array.
     Exact integer arithmetic: v = u + p*(w - u) with p in (0, 1) is decided
     by cross-multiplying the rational p, never through floats.  Duplicate
     points count as dependent.
     """
-    pts = [tuple(v.coords) if hasattr(v, "coords") else tuple(v) for v in vectors]
+    # Python ints, so the dtype bound below cannot wrap on numpy input.
+    pts = [tuple(map(int, v)) for v in vectors]
     n = len(pts)
     if n > budget:
         raise BudgetExceeded(f"{n} vectors exceed the brute-force budget {budget}")

@@ -2,6 +2,7 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apfree import behrend
@@ -35,7 +36,7 @@ class TestConstructBehrend:
     def test_k2_y3(self):
         art = construct_behrend(params_for(2, 3))
         assert art.shell.t_low == art.shell.t_high == 1
-        assert [v.coords for v in art.vectors] == [(0, 1), (1, 0)]
+        assert art.points.tolist() == [[0, 1], [1, 0]]
         assert art.set.elements == (1, 6)
         assert art.set.n == 36
 
@@ -52,8 +53,8 @@ class TestConstructBehrend:
 
     def test_all_vectors_share_the_shell_norm(self):
         art = construct_behrend(params_for(3, 4))
-        assert {v.norm_sq for v in art.vectors} == {art.shell.t_low}
-        assert len(art.vectors) == art.shell.population == art.set.size
+        assert {sum(c * c for c in v) for v in art.points.tolist()} == {art.shell.t_low}
+        assert len(art.points) == art.shell.population == art.set.size
 
     def test_elements_stay_below_n(self):
         for k, y in [(2, 3), (3, 2), (2, 5), (4, 3)]:
@@ -62,8 +63,8 @@ class TestConstructBehrend:
 
     def test_decoding_recovers_the_shell(self):
         art = construct_behrend(params_for(3, 5))
-        decoded = {decode(e, 3, 5).coords for e in art.set.elements}
-        assert decoded == {v.coords for v in art.vectors}
+        decoded = {decode(e, 3, 5) for e in art.set.elements}
+        assert decoded == set(map(tuple, art.points.tolist()))
 
     def test_output_is_midpoint_free(self):
         for k, y in [(2, 3), (3, 3), (4, 4), (2, 8)]:
@@ -72,7 +73,7 @@ class TestConstructBehrend:
 
     def test_shell_vectors_are_convexly_independent(self):
         art = construct_behrend(params_for(3, 4))
-        assert convexly_independent(art.vectors)
+        assert convexly_independent(art.points)
 
     def test_size_guarantee(self):
         for k in (2, 3, 4):
@@ -89,15 +90,14 @@ class TestConstructBehrend:
         for threads in (2, 8):
             art = construct_behrend(params_for(4, 4), threads=threads)
             assert art.set.elements == base.set.elements
-            assert art.vectors == base.vectors
+            assert np.array_equal(art.points, base.points)
 
     def test_points_match_vectors_and_shell_members(self):
         for k, y in [(2, 3), (3, 4), (4, 5), (5, 3)]:
             art = construct_behrend(params_for(k, y))
             assert art.points.shape == (art.set.size, k)
             assert [tuple(row) for row in art.points.tolist()] \
-                == [v.coords for v in art.vectors]
-            assert list(art.vectors) == shell_members(k, y, art.shell)
+                == shell_members(k, y, art.shell)
 
     def test_explicit_n_larger_than_cube(self):
         # n need not be an exact power; elements still fit below (2y)^k <= n

@@ -2,11 +2,14 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree import elkin
+from apfree.behrend import construct_behrend
+from apfree.codec import encode_all
 from apfree.elkin import (
     construct_elkin,
     dhat_bound_check,
@@ -14,7 +17,7 @@ from apfree.elkin import (
     filter_survivors,
 )
 from apfree.errors import BudgetExceeded
-from apfree.lattice import lattice_vector, shell_members
+from apfree.lattice import shell_members
 from apfree.numeric import ConstructionParams, eta
 from apfree.verify import midpoint_free
 
@@ -32,6 +35,14 @@ def brute_witnesses(k: int, g: int) -> set[tuple[int, ...]]:
     }
 
 
+def witness_set(k: int, g: int) -> set[tuple[int, ...]]:
+    return set(map(tuple, enumerate_witnesses(k, g).tolist()))
+
+
+def rows_of(points) -> list[tuple[int, ...]]:
+    return list(map(tuple, points.tolist()))
+
+
 def has_witness_brute(coords, k, g) -> bool:
     """Independent certificate pass: scan every delta by direct product."""
     root = math.isqrt(g)
@@ -47,24 +58,34 @@ def has_witness_brute(coords, k, g) -> bool:
 
 class TestEnumerateWitnesses:
     def test_k2_g1(self):
-        deltas = {w.delta for w in enumerate_witnesses(2, 1)}
+        deltas = witness_set(2, 1)
         assert deltas == {(-1, 0), (0, -1), (0, 1), (1, 0)}
 
     def test_k2_g2_adds_diagonals(self):
         assert len(enumerate_witnesses(2, 2)) == 8
 
     def test_k1_g1(self):
-        assert {w.delta for w in enumerate_witnesses(1, 1)} == {(-1,), (1,)}
+        assert witness_set(1, 1) == {(-1,), (1,)}
 
     def test_norms_are_recorded(self):
-        for w in enumerate_witnesses(3, 4):
-            assert w.norm_sq == sum(c * c for c in w.delta)
-            assert 1 <= w.norm_sq <= 4
+        for w in enumerate_witnesses(3, 4).tolist():
+            assert 1 <= sum(c * c for c in w) <= 4
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_matches_brute_product(self, k, g):
-        assert {w.delta for w in enumerate_witnesses(k, g)} == brute_witnesses(k, g)
+        assert witness_set(k, g) == brute_witnesses(k, g)
+
+    def test_lexicographic_order_and_sign_symmetry(self):
+        for k in range(1, 7):
+            for g in range(1, 6):
+                w = enumerate_witnesses(k, g)
+                assert w.dtype == np.int64 and w.shape == (len(w), k)
+                root = math.isqrt(g)
+                brute = [v for v in itertools.product(range(-root, root + 1), repeat=k)
+                         if 0 < sum(c * c for c in v) <= g]
+                assert rows_of(w) == brute, (k, g)
+                assert np.array_equal(w[::-1], -w), (k, g)
 
     def test_count_is_even(self):
         for k in (1, 2, 3, 7, 15):
@@ -72,8 +93,8 @@ class TestEnumerateWitnesses:
                 assert len(enumerate_witnesses(k, g)) % 2 == 0
 
     def test_nonzero_entries_at_most_norm(self):
-        for w in enumerate_witnesses(4, 3):
-            assert sum(1 for c in w.delta if c) <= w.norm_sq
+        for w in enumerate_witnesses(4, 3).tolist():
+            assert sum(1 for c in w if c) <= sum(c * c for c in w)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -95,21 +116,21 @@ class TestEnumerateWitnesses:
 class TestFilterSurvivors:
     def test_interior_point_survives(self):
         witnesses = enumerate_witnesses(2, 1)
-        survivors, removed = filter_survivors([lattice_vector((3, 3))], witnesses, 1)
-        assert [s.coords for s in survivors] == [(3, 3)] and removed == 0
+        survivors, removed = filter_survivors([(3, 3)], witnesses, 1)
+        assert survivors == [(3, 3)] and removed == 0
 
     def test_boundary_point_removed(self):
         witnesses = enumerate_witnesses(2, 1)
-        survivors, removed = filter_survivors([lattice_vector((0, 3))], witnesses, 1)
+        survivors, removed = filter_survivors([(0, 3)], witnesses, 1)
         assert survivors == [] and removed == 1
 
     def test_empty_input(self):
         assert filter_survivors([], enumerate_witnesses(2, 1), 1) == ([], 0)
-        point = lattice_vector((0, 3))
+        point = (0, 3)
         assert filter_survivors([point], [], 1) == ([point], 0)
 
     def test_preserves_input_order(self):
-        pts = [lattice_vector(v) for v in [(5, 2), (2, 5), (3, 4)]]
+        pts = [(5, 2), (2, 5), (3, 4)]
         survivors, _ = filter_survivors(pts, enumerate_witnesses(2, 1), 1)
         assert survivors == [p for p in pts if p in survivors]
 
@@ -127,10 +148,10 @@ class TestFilterSurvivors:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_certificate_scan(self, k, g, raw_points):
-        pts = [lattice_vector(p[:k]) for p in raw_points]
+        pts = [p[:k] for p in raw_points]
         witnesses = enumerate_witnesses(k, g)
         survivors, removed = filter_survivors(pts, witnesses, g)
-        expected = [p for p in pts if not has_witness_brute(p.coords, k, g)]
+        expected = [p for p in pts if not has_witness_brute(p, k, g)]
         assert survivors == expected
         assert removed == len(pts) - len(expected)
 
@@ -146,9 +167,9 @@ class TestConstructElkin:
     def test_k2_y8_g1_survivors_have_large_coords(self):
         art = construct_elkin(params_for(2, 8, 1))
         assert not art.is_empty
-        for v in art.survivors:
-            assert all(c >= 2 for c in v.coords)
-            assert not has_witness_brute(v.coords, 2, 1)
+        for v in art.survivors.tolist():
+            assert all(c >= 2 for c in v)
+            assert not has_witness_brute(v, 2, 1)
 
     def test_small_y_always_empties(self):
         # every coordinate is <= y-1 <= g, so +-e_i certificates hit all points
@@ -167,19 +188,20 @@ class TestConstructElkin:
         for k, y, g in [(2, 8, 1), (3, 8, 1), (2, 10, 1)]:
             art = construct_elkin(params_for(k, y, g))
             nonempty += not art.is_empty
-            for v in art.survivors:
-                assert not has_witness_brute(v.coords, k, g)
+            for v in art.survivors.tolist():
+                assert not has_witness_brute(v, k, g)
         assert nonempty == 3  # these parameters are known to keep survivors
 
     def test_no_vector_midpoints_among_survivors(self):
         art = construct_elkin(params_for(3, 8, 1))
         assert len(art.survivors) >= 3
-        table = {v.coords for v in art.survivors}
-        for u, w in itertools.combinations(art.survivors, 2):
-            s = tuple(a + b for a, b in zip(u.coords, w.coords))
+        rows = rows_of(art.survivors)
+        table = set(rows)
+        for u, w in itertools.combinations(rows, 2):
+            s = tuple(a + b for a, b in zip(u, w))
             if all(c % 2 == 0 for c in s):
                 assert tuple(c // 2 for c in s) not in table or (
-                    tuple(c // 2 for c in s) in (u.coords, w.coords)
+                    tuple(c // 2 for c in s) in (u, w)
                 )
 
     def test_encoded_set_is_midpoint_free(self):
@@ -199,7 +221,7 @@ class TestConstructElkin:
             art = construct_elkin(params_for(k, y, g))
             members = shell_members(k, y, art.shell)
             survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
-            assert art.survivors == tuple(survivors)
+            assert rows_of(art.survivors) == survivors
             assert (art.annulus_points, art.removed) == (len(members), removed)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
@@ -215,14 +237,14 @@ class TestConstructElkin:
         art = construct_elkin(params_for(k, y, g))
         members = shell_members(k, y, art.shell)
         survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
-        assert art.survivors == tuple(survivors)
+        assert rows_of(art.survivors) == survivors
         assert (art.annulus_points, art.removed) == (len(members), removed)
 
     def test_unit_removed_counts_points_with_a_small_coordinate(self):
         for k, y, g in [(2, 8, 1), (3, 8, 2), (3, 6, 2), (4, 5, 3), (2, 10, 4)]:
             art = construct_elkin(params_for(k, y, g))
             members = shell_members(k, y, art.shell)
-            assert art.unit_removed == sum(min(v.coords) <= g for v in members)
+            assert art.unit_removed == sum(min(v) <= g for v in members)
             assert art.unit_removed <= art.removed
 
     def test_unit_witnesses_remove_everything_removed_when_g_is_1(self):
@@ -255,10 +277,10 @@ class TestConstructElkin:
         k, y, g = 3, 8, 1
         points = len(construct_elkin(params_for(k, y, g)).survivors)  # g = 1: all
         units = enumerate_witnesses(k, g)
-        padded = units * (10**4 // (points * len(units)) + 1)
+        padded = np.tile(units, (10**4 // (points * len(units)) + 1, 1))
         dots = points * len(padded)
         monkeypatch.setattr(elkin, "enumerate_witnesses", lambda *args: padded)
-        assert construct_elkin(params_for(k, y, g), budget=dots).survivors
+        assert len(construct_elkin(params_for(k, y, g), budget=dots).survivors) > 0
 
         def filter_ran(*args):
             raise AssertionError("the certificate filter ran")
@@ -323,6 +345,40 @@ class TestDhatBoundCheck:
 
     def test_permutation_invariance(self):
         # the witness set is closed under coordinate permutation
-        witnesses = {w.delta for w in enumerate_witnesses(3, 2)}
+        witnesses = witness_set(3, 2)
         for perm in itertools.permutations(range(3)):
             assert {tuple(d[i] for i in perm) for d in witnesses} == witnesses
+
+
+class TestListEdge:
+    """The public functions that hand points to Python callers return plain
+    lists and tuples, whose truth value is defined.  perfbench/trace_pipeline.py
+    depends on this: it tests `if survivors` (line 174), compares
+    `elements != built.set.elements` (line 198) and tests `not apset.elements`
+    (line 215), each of which raises ValueError on a numpy array."""
+
+    def test_elkin_edge_types_and_replica_agreement(self):
+        k, y, g = 3, 8, 1
+        art = construct_elkin(params_for(k, y, g))
+        members = shell_members(k, y, art.shell)
+        assert type(members) is list
+        assert all(type(v) is tuple and all(type(c) is int for c in v) for v in members)
+        survivors, _ = filter_survivors(members, enumerate_witnesses(k, g), g)
+        assert type(survivors) is list and survivors
+        assert all(type(v) is tuple for v in survivors)
+        assert type(art.set.elements) is tuple
+        assert tuple(sorted(encode_all(survivors, y, k))) == art.set.elements
+
+    def test_behrend_edge_types(self):
+        art = construct_behrend(ConstructionParams(n=8**3, k=3, y=4))
+        members = shell_members(3, 4, art.shell)
+        assert type(members) is list and all(type(v) is tuple for v in members)
+        assert type(art.set.elements) is tuple
+        assert tuple(sorted(encode_all(members, 4, 3))) == art.set.elements
+
+    def test_empty_edges_are_falsy(self):
+        art = construct_elkin(params_for(2, 3, 1))
+        members = shell_members(2, 3, art.shell)
+        survivors, removed = filter_survivors(members, enumerate_witnesses(2, 1), 1)
+        assert survivors == [] and not survivors and removed == len(members)
+        assert art.set.elements == () and not art.set.elements

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree.behrend import construct_behrend
 from apfree.errors import BudgetExceeded
-from apfree.lattice import ShellSelection, lattice_vector, shell_members
+from apfree.lattice import ShellSelection, shell_members
 from apfree.numeric import ConstructionParams
 from apfree.verify import (
     _convexly_independent_exact,
@@ -15,6 +16,11 @@ from apfree.verify import (
     exact_nu_bb,
     midpoint_free,
 )
+
+
+def _fits_int64(pts) -> bool:
+    return all(-(2**63) <= c < 2**63 for p in pts for c in p)
+
 
 @st.composite
 def point_lists(draw):
@@ -78,11 +84,12 @@ class TestMidpointFree:
 
 class TestConvexlyIndependent:
     def test_collinear_triple(self):
-        pts = [lattice_vector(v) for v in [(0, 0), (1, 1), (2, 2)]]
+        pts = [(0, 0), (1, 1), (2, 2)]
         assert not convexly_independent(pts)
+        assert not convexly_independent(np.array(pts, dtype=np.int64))
 
     def test_two_points(self):
-        assert convexly_independent([lattice_vector((0, 1)), lattice_vector((1, 0))])
+        assert convexly_independent([(0, 1), (1, 0)])
 
     def test_non_midpoint_interior_point(self):
         # (1, 1) = (2/3)(0, 0) + (1/3)(3, 3): dependent but not a midpoint
@@ -115,11 +122,18 @@ class TestConvexlyIndependent:
     def test_agrees_with_exact_oracle(self, pts):
         expect = len(set(pts)) == len(pts) and _convexly_independent_exact(pts)
         assert convexly_independent(pts) == expect
+        if _fits_int64(pts):
+            assert convexly_independent(np.array(pts, dtype=np.int64)) == expect
 
     def test_big_coordinates_use_exact_path(self):
-        w = 2**40
-        assert not convexly_independent([(0, 0), (w, w), (2 * w, 2 * w)])
-        assert convexly_independent([(0, 1), (w, w), (2 * w, 0)])
+        for w in (2**30, 2**40):
+            dependent = [(0, 0), (w, w), (2 * w, 2 * w)]
+            independent = [(0, 1), (w, w), (2 * w, 0)]
+            assert not convexly_independent(dependent)
+            assert convexly_independent(independent)
+            # int64 input must not wrap the products either
+            assert not convexly_independent(np.array(dependent, dtype=np.int64))
+            assert convexly_independent(np.array(independent, dtype=np.int64))
 
 
 class TestExactNu:
