@@ -51,7 +51,6 @@ def construct_behrend(
     shell = select_behrend_shell(hist, moments, params.a)
     points = shell_points(k, y, shell, budget)
     elements = tuple(sorted(encode_all(points, y, k)))
-    assert len(elements) == len(points), "digit map must be injective on the cube"
     apset = APFreeSet(
         n=params.n, elements=elements, method="behrend", params_echo=params
     )

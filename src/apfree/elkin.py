@@ -14,8 +14,9 @@ coordinate in [0, g] has a certificate.  All survivors therefore lie in the
 sub-cube [g+1, y-1]^k, and construct_elkin enumerates and filters only the
 annulus points there.  The prune is exact: each point it skips is one the
 full filter removes, and each point it keeps is still tested against every
-witness.  The annulus size comes from the census, so the points the unit
-witnesses remove number the annulus size minus the sub-cube's share of it.
+witness that can certify it (see enumerate_witnesses).  The annulus size
+comes from the census, so the points the unit witnesses remove number the
+annulus size minus the sub-cube's share of it.
 
 Annulus points, witnesses and survivors are (N, k) int64 arrays, and the
 filter is one chunked matrix product of points with witnesses.
@@ -68,9 +69,12 @@ def enumerate_witnesses(k: int, g: int, budget: int = DEFAULT_BUDGET) -> np.ndar
 
     Rows are in lexicographic order (negative entries first), each vector
     once.  The set is closed under delta -> -delta, and in this order row i
-    is minus row M-1-i.  It is not halved all the same: the filter tests the
-    one-sided 0 <= <b, delta> <= g on every row (half the set would need the
-    two-sided |<b, delta>| <= g), and witness-count reports the full count.
+    is minus row M-1-i.  So the set splits into the sign-pure rows, the rows
+    M/2.. with a negative entry (first nonzero entry positive), and their
+    negatives.  On [g+1, y-1]^k a sign-pure delta gives |<b, delta>| > g, so
+    b has a certificate iff |<b, delta>| <= g for a row of the middle part:
+    construct_elkin tests only those (none at g = 1), while witness-count
+    reports the full count.
 
     Built level by level: each kept prefix is extended by every digit in
     [-isqrt(g), isqrt(g)] and the prefixes of squared norm <= g are kept.  A
@@ -97,25 +101,27 @@ def enumerate_witnesses(k: int, g: int, budget: int = DEFAULT_BUDGET) -> np.ndar
 
 def _uncertified(points: np.ndarray, deltas: np.ndarray, g: int) -> np.ndarray:
     """Mask of the rows b of an (N, k) array with no witness row delta giving
-    0 <= <b, delta> <= g."""
+    |<b, delta>| <= g."""
     keep = np.ones(len(points), dtype=bool)
     deltas = np.asarray(deltas, dtype=np.int64).reshape(len(deltas), points.shape[1])
     chunk = max(1, (1 << 22) // max(1, len(deltas)))
     for start in range(0, len(points), chunk):
         dots = points[start : start + chunk] @ deltas.T
-        keep[start : start + chunk] = ~((dots >= 0) & (dots <= g)).any(axis=1)
+        keep[start : start + chunk] = ~(np.abs(dots) <= g).any(axis=1)
     return keep
 
 
 def filter_survivors(
     points: Sequence[Sequence[int]], witnesses: np.ndarray, g: int
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Keep points b whose every witness dot product avoids [0, g].
+    """Keep points b whose every witness dot product avoids [-g, g].
 
     points is any sequence of coordinate sequences, or an (N, k) array.
     Survivors are returned in input order as a list of plain int tuples.  A
-    removed point had some delta with 0 <= <b, delta> <= g, the certificate
-    that b may be expressible as a convex combination of other ball points.
+    removed point had some delta with |<b, delta>| <= g.  When witnesses is
+    closed under delta -> -delta, as enumerate_witnesses is, that equals the
+    one-sided certificate 0 <= <b, delta> <= g that b may be expressible as a
+    convex combination of other ball points.
     """
     if len(points) == 0:
         return [], 0
@@ -157,9 +163,9 @@ def construct_elkin(
     """Run the annulus pipeline; an emptied filter is reported, not raised.
 
     Only the annulus points of the sub-cube [g+1, y-1]^k are enumerated and
-    filtered (see the module docstring).  The enumeration budget y^k is
-    checked before the census runs, and the certificate dot products before
-    the filter runs.  threads has no effect.
+    filtered, each against the witnesses enumerate_witnesses says can certify
+    it.  The enumeration budget y^k is checked before the census runs, and
+    the tested dot products before the filter runs.  threads has no effect.
     """
     k, y = params.k, params.y
     g = params.effective_g()
@@ -168,13 +174,15 @@ def construct_elkin(
     hist = build_histogram(k, y, budget)
     shell = select_elkin_annulus(hist, moments, g)
     points = shell_points(k, y, shell, budget, low=g + 1)
-    witnesses = enumerate_witnesses(k, g, budget)
-    dots = len(points) * len(witnesses)
+    half = enumerate_witnesses(k, g, budget)
+    half = half[len(half) // 2 :]
+    tested = half[(half < 0).any(axis=1)]
+    dots = len(points) * len(tested)
     if dots > budget:
         raise BudgetExceeded(
             f"{dots} certificate dot products exceed the budget {budget}"
         )
-    kept = points[_uncertified(points, witnesses, g)]
+    kept = points[_uncertified(points, tested, g)]
     elements = tuple(sorted(encode_all(kept, y, k)))
     apset = APFreeSet(n=params.n, elements=elements, method="elkin", params_echo=params)
     return ElkinArtifact(

@@ -22,8 +22,8 @@ rational), so the integer ends of a window are found in closed form with
 math.isqrt, never through a float.
 
 Counting lattice points in capped balls (alpha_i >= 0 for i >= m) runs the
-same program from an all-ones first row, which makes h[s] cumulative; the
-work is O(k * t * sqrt(t)) regardless of how many points are counted.
+same program and takes the prefix sum of its result, which commutes with the
+linear shift-adds; the work is O(k * t * sqrt(t)) whatever the count.
 """
 
 from __future__ import annotations
@@ -69,32 +69,22 @@ def check_enumeration_budget(k: int, y: int, budget: int) -> None:
 
 
 def _norm_counts(
-    length: int,
-    top: int,
-    weights: Sequence[int],
-    bound: int,
-    budget: int,
-    cumulative: bool = False,
+    length: int, top: int, weights: Sequence[int], bound: int, budget: int
 ) -> np.ndarray:
-    """h[s] = vectors of squared norm s (at most s if cumulative), for s < length.
+    """h[s] = vectors of squared norm s, for s < length.
 
     One shift-add round per coordinate; weight w means the coordinate takes 0
     once and each of 1..top w times (w=1: [0, top], w=2: [-top, top]).  Counts
     are int64 when bound < 2^62, Python ints (object dtype) otherwise.  Before
-    round j a census is zero above j * top^2, so that round reads only
-    h[:reach_j]; a cumulative table is dense from the start.  Each round also
-    copies all length cells, so the work sum(reach_j) * top + rounds * length
-    is checked before anything is allocated.
+    round j, h is zero above j * top^2, so that round reads only h[:reach_j].
+    Each round also copies all length cells, so the work sum(reach_j) * top
+    + rounds * length is checked before anything is allocated.
     """
-    if cumulative:
-        reach = [length] * len(weights)
-    else:
-        reach = [min(j * top * top + 1, length) for j in range(len(weights))]
+    reach = [min(j * top * top + 1, length) for j in range(len(weights))]
     work = sum(reach) * top + len(weights) * length
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
-    dtype = int_dtype(bound)
-    h = np.ones(length, dtype=dtype) if cumulative else np.zeros(length, dtype=dtype)
+    h = np.zeros(length, dtype=int_dtype(bound))
     h[0] = 1
     for w, r in zip(weights, reach):
         new = h.copy()
@@ -282,7 +272,7 @@ def shell_members(
 
 
 def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:
-    """cumulative_count[s] = lattice points with norm^2 <= s, for all s <= t."""
+    """table[s] = lattice points with norm^2 <= s, for all s <= t."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if t < 0:
@@ -292,9 +282,7 @@ def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:
     n_constrained = k - m + 1
     root = math.isqrt(t)
     weights = [1] * n_constrained + [2] * (k - n_constrained)
-    return _norm_counts(
-        t + 1, root, weights, (2 * root + 1) ** k, budget, cumulative=True
-    )
+    return np.cumsum(_norm_counts(t + 1, root, weights, (2 * root + 1) ** k, budget))
 
 
 def count_capped_ball(k: int, t: int, m: int, budget: int = DEFAULT_BUDGET) -> int:

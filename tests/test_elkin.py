@@ -240,6 +240,47 @@ class TestConstructElkin:
         assert rows_of(art.survivors) == survivors
         assert (art.annulus_points, art.removed) == (len(members), removed)
 
+    def test_certificates_are_tested_once_on_whole_sub_cubes(self, monkeypatch):
+        # Oracle from itertools alone: every witness, one-sided, on every point
+        # of [g+1, y-1]^k.  The sign-pure witnesses certify none of them, and
+        # the two-sided test on the mixed half construct_elkin passes to the
+        # filter gives the same mask.
+        tested = []
+
+        def spy(points, deltas, g):
+            tested.append(deltas)
+            return uncertified(points, deltas, g)
+
+        uncertified = elkin._uncertified
+        monkeypatch.setattr(elkin, "_uncertified", spy)
+        for k in range(1, 6):
+            for g in range(1, 6):
+                deltas = sorted(brute_witnesses(k, g))
+                mixed = {d for d in deltas if min(d) < 0 < max(d)}
+                first_positive = {d for d in mixed if next(c for c in d if c) > 0}
+                for y in range(2, 9):
+                    tested.clear()
+                    construct_elkin(params_for(k, y, g))
+                    (half,) = tested
+                    assert sorted(rows_of(half)) == sorted(first_positive), (k, g)
+                    cube = np.array(list(itertools.product(range(g + 1, y), repeat=k)),
+                                    dtype=np.int64).reshape(-1, k)
+                    dots = cube @ np.array(deltas, dtype=np.int64).reshape(-1, k).T
+                    certified = (dots >= 0) & (dots <= g)
+                    pure = [min(d) >= 0 or max(d) <= 0 for d in deltas]
+                    assert not certified[:, pure].any(), (k, y, g)
+                    assert (uncertified(cube, half, g) == ~certified.any(axis=1)).all()
+
+    def test_empty_when_y_leaves_no_room_for_gaps_above_g(self):
+        # For g >= 2 the witnesses e_i - e_j force k distinct coordinates in
+        # [g+1, y-1] with pairwise gaps above g, which needs y > (g+1)*k.
+        for k in range(1, 6):
+            for g in range(2, 6):
+                for y in range(2, (g + 1) * k + 1):
+                    if y**k > 2 * 10**5:
+                        break
+                    assert construct_elkin(params_for(k, y, g)).is_empty, (k, y, g)
+
     def test_unit_removed_counts_points_with_a_small_coordinate(self):
         for k, y, g in [(2, 8, 1), (3, 8, 2), (3, 6, 2), (4, 5, 3), (2, 10, 4)]:
             art = construct_elkin(params_for(k, y, g))
@@ -273,12 +314,14 @@ class TestConstructElkin:
     def test_dot_products_are_refused_before_the_filter(self, monkeypatch):
         # For every (k, y, g) searched (y^k <= 2*10^6, g <= 11) the cube,
         # census or witness check binds before the dot products, so the
-        # witness list is padded with repeats, which change no survivor.
+        # witness list is padded with +- pairs of a mixed-sign vector.  The
+        # filter tests it, and on [2, 7]^3 its dot products are at least 3,
+        # so it changes no survivor.
         k, y, g = 3, 8, 1
         points = len(construct_elkin(params_for(k, y, g)).survivors)  # g = 1: all
-        units = enumerate_witnesses(k, g)
-        padded = np.tile(units, (10**4 // (points * len(units)) + 1, 1))
-        dots = points * len(padded)
+        tested = np.tile([5, -1, 0], (10**4 // points + 1, 1))
+        padded = np.concatenate((-tested, tested))  # row i is minus row M-1-i
+        dots = points * len(tested)
         monkeypatch.setattr(elkin, "enumerate_witnesses", lambda *args: padded)
         assert len(construct_elkin(params_for(k, y, g), budget=dots).survivors) > 0
 
@@ -323,10 +366,11 @@ class TestDhatBoundCheck:
     def test_budget_is_passed_on(self):
         with pytest.raises(BudgetExceeded):
             dhat_bound_check(4, 2, budget=1)
-        # the count DP for k=4, g=2 touches k * (g+1) * (isqrt(g)+1) = 24 cells
-        assert dhat_bound_check(4, 2, budget=24).enumerated == 32
+        # the count DP for k=4, g=2 reads 1 + 2 + 3 + 3 cells (round j reads
+        # the min(j + 1, g + 1) reachable norms) and copies k * (g+1) = 12: 21
+        assert dhat_bound_check(4, 2, budget=21).enumerated == 32
         with pytest.raises(BudgetExceeded):
-            dhat_bound_check(4, 2, budget=23)
+            dhat_bound_check(4, 2, budget=20)
 
     def test_large_k_is_counted_not_enumerated(self, monkeypatch):
         def tripwire(*args):
