@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a serialized set for arithmetic triples")
     p.add_argument("in_path", help="apfree-set/1 JSON file")
+    _add_common(p, threads=False)
 
     p = sub.add_parser("sweep", help="construct over a (k, y) grid, write a CSV")
     p.add_argument("--method", required=True, choices=["behrend", "elkin"])
@@ -192,7 +193,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.in_path, "r", encoding="utf-8") as fh:
         apset = read_set(fh)
-    report = verify_mod.midpoint_free(apset)
+    report = verify_mod.midpoint_free(apset, budget=args.budget)
     if report.ok:
         print(f"ok size={apset.size} pairs_checked={report.pairs_checked}")
         return EXIT_OK

@@ -117,6 +117,16 @@ class TestVerify:
         assert code == 1
         assert stdout.strip() == "witness 2 = (1+3)/2"
 
+    def test_budget_is_priced_in_same_parity_pairs(self, capsys, tmp_path):
+        path = tmp_path / "ok.json"
+        with open(path, "w") as fh:
+            APFreeSet(n=10, elements=(1, 2, 4, 5), method="external").write_json(fh)
+        code, stdout, _ = run(capsys, "verify", str(path), "--budget", "2")
+        assert code == 0 and stdout.strip() == "ok size=4 pairs_checked=2"
+        code, stdout, stderr = run(capsys, "verify", str(path), "--budget", "1")
+        assert code == 1 and stdout == ""
+        assert "2 same-parity pairs exceed the verify budget 1" in stderr
+
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

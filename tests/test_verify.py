@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from apfree.errors import BudgetExceeded
 from apfree.lattice import ShellSelection, shell_members
 from apfree.numeric import ConstructionParams
 from apfree.verify import (
+    VerificationReport,
     _convexly_independent_exact,
     convexly_independent,
     exact_nu,
@@ -39,8 +41,42 @@ def point_lists(draw):
     return draw(st.permutations(pts))
 
 
-# Known optimum sizes for {1..n}, n = 1..20 (verifiable by hand for small n).
-KNOWN_NU = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9]
+# Optimum sizes r_3(n) for {1..n}, n = 1..48 (OEIS A003002).
+KNOWN_NU = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9,
+            9, 9, 9, 10, 10, 11, 11, 11, 11, 12, 12, 13, 13, 13, 13, 14, 14, 14, 14,
+            15, 16, 16, 16, 16, 16, 16, 16, 16]
+
+
+def reference_midpoint_free(elements) -> VerificationReport:
+    """The pair scan midpoint_free must reproduce: same-parity pairs (a, b)
+    in lexicographic index order, set-membership test of each midpoint."""
+    elements = sorted(set(elements))
+    members = set(elements)
+    pairs = 0
+    for idx, a in enumerate(elements):
+        for b in elements[idx + 1 :]:
+            if (a + b) % 2:
+                continue
+            pairs += 1
+            mid = (a + b) // 2
+            if mid in members and mid != a and mid != b:
+                return VerificationReport(ok=False, witness=(mid, a, b), pairs_checked=pairs)
+    return VerificationReport(ok=True, witness=None, pairs_checked=pairs)
+
+
+@st.composite
+def element_lists(draw):
+    """Unsorted lists with duplicates, on either side of the int64 bound, with
+    planted progressions in most of them."""
+    scale = draw(st.sampled_from([20, 2**40, 2**70]))
+    value = st.integers(min_value=-scale, max_value=scale)
+    elements = draw(st.lists(value, max_size=24))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, step = draw(value), draw(st.integers(min_value=1, max_value=scale))
+        elements += [a, a + step, a + 2 * step]
+    if elements:
+        elements += draw(st.lists(st.sampled_from(elements), max_size=3))
+    return draw(st.permutations(elements))
 
 
 def brute_midpoint_free(elements) -> bool:
@@ -80,6 +116,43 @@ class TestMidpointFree:
         report = midpoint_free([1, 2, 4, 5])
         # same-parity pairs of {1,2,4,5}: (1,5) and (2,4)
         assert report.pairs_checked == 2
+
+    @given(element_lists())
+    @settings(max_examples=500, deadline=None)
+    def test_report_equals_reference_scan(self, elements):
+        assert midpoint_free(elements) == reference_midpoint_free(elements)
+
+    def test_report_equals_reference_scan_on_examples(self):
+        big = 2**64
+        for elements in ([5, 1, 3, 3], [2, 9, 4, 6, 7, 5], [big, big + 2, big + 4],
+                         [-4, 0, 4, -4], [1, 4, 16, 64, 256, 2, 3]):
+            report = midpoint_free(elements)
+            assert report == reference_midpoint_free(elements)
+            assert not report.ok
+
+    @pytest.mark.parametrize("elements", [[1.5, 2.0, 2.5], [2.0, 4], [True, 2, 3],
+                                          ["1", "2", "3"]])
+    def test_non_integer_elements_are_rejected(self, elements):
+        # 1.5 and 2.5 used to be truncated to 1 and 2, and {1, 2} passed
+        with pytest.raises(ValueError, match="must be integers"):
+            midpoint_free(elements)
+
+    def test_numpy_integers_are_accepted(self):
+        assert midpoint_free(np.array([1, 2, 3], dtype=np.int64)).witness == (2, 1, 3)
+
+    def test_oversized_set_is_refused_before_the_scan(self):
+        # 2 * C(10^5, 2) ~ 1e10 same-parity pairs, minutes of scanning
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="verify budget"):
+            midpoint_free(range(1, 2 * 10**5 + 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_counts_same_parity_pairs(self):
+        # {1..6}: C(3, 2) even pairs + C(3, 2) odd pairs
+        assert midpoint_free([1, 2, 4, 5], budget=2).ok
+        with pytest.raises(BudgetExceeded):
+            midpoint_free(range(1, 7), budget=5)
+        assert midpoint_free(range(1, 7), budget=6).pairs_checked == 1
 
 
 class TestConvexlyIndependent:
@@ -143,6 +216,17 @@ class TestExactNu:
             assert value == expect
             assert witness.size == expect
             assert midpoint_free(witness).ok
+            assert exact_nu_bb(n) == expect
+
+    def test_witness_is_first_optimum_by_brute_force(self):
+        for n in range(1, 19):
+            value, witness = exact_nu(n)
+            # combinations come in lexicographic order
+            free = (c for c in itertools.combinations(range(1, n + 1), value)
+                    if brute_midpoint_free(c))
+            assert next(free) == witness.elements
+            assert not any(brute_midpoint_free(c)
+                           for c in itertools.combinations(range(1, n + 1), value + 1))
 
     def test_examples(self):
         assert exact_nu(1)[0] == 1
