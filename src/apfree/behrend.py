@@ -12,9 +12,7 @@ only considers norms T >= 1; the shell T = 0 would hold the origin alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .codec import APFreeSet, encode_all
 from .lattice import (
@@ -30,11 +28,11 @@ from .numeric import ConstructionParams, exact_moments
 
 @dataclass(frozen=True)
 class BehrendArtifact:
-    """Everything one run produced: parameters, chosen shell, (N, k) points, set."""
+    """Everything one run produced: parameters, chosen shell, encoded set.
+    decode_all(set.elements, k, y) gives the shell's points, in code order."""
 
     params: ConstructionParams
     shell: ShellSelection
-    points: np.ndarray = field(compare=False)
     set: APFreeSet
 
 
@@ -54,4 +52,4 @@ def construct_behrend(
     apset = APFreeSet(
         n=params.n, elements=elements, method="behrend", params_echo=params
     )
-    return BehrendArtifact(params=params, shell=shell, points=points, set=apset)
+    return BehrendArtifact(params=params, shell=shell, set=apset)

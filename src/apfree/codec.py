@@ -96,8 +96,8 @@ def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
 class APFreeSet:
     """A progression-free set of integers in [1, n] with provenance.
 
-    elements must be strictly increasing.  method records how the set was
-    produced; params_echo carries the construction parameters when known.
+    n >= 1, and elements must be strictly increasing.  method records how the
+    set was produced; params_echo carries the construction parameters if known.
     """
 
     n: int
@@ -108,6 +108,8 @@ class APFreeSet:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.n < 1:
+            raise ValueError(f"the interval bound n must be >= 1, got {self.n}")
         prev = 0
         for e in self.elements:
             if e <= prev:
@@ -185,6 +187,6 @@ def set_from_json_dict(doc: dict) -> APFreeSet:
 def read_set(fh: IO[str]) -> APFreeSet:
     try:
         doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an over-long integer
         raise SetFormatError(f"not valid JSON: {exc}") from exc
     return set_from_json_dict(doc)

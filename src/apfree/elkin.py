@@ -18,8 +18,8 @@ witness that can certify it (see enumerate_witnesses).  The annulus size
 comes from the census, so the points the unit witnesses remove number the
 annulus size minus the sub-cube's share of it.
 
-Annulus points, witnesses and survivors are (N, k) int64 arrays, and the
-filter is one chunked matrix product of points with witnesses.
+Annulus points and witnesses are (N, k) int64 arrays, and the filter is one
+chunked matrix product of points with witnesses.
 filter_survivors takes any sequence of points and returns its survivors as
 a list of plain int tuples.
 
@@ -31,7 +31,7 @@ record it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,12 +79,13 @@ def enumerate_witnesses(k: int, g: int, budget: int = DEFAULT_BUDGET) -> np.ndar
     Built level by level: each kept prefix is extended by every digit in
     [-isqrt(g), isqrt(g)] and the prefixes of squared norm <= g are kept.  A
     kept prefix pads with zeros to a distinct witness or to zero, so no level
-    holds more than (count + 1) * (2*isqrt(g) + 1) rows, and the exact count,
-    checked against budget before anything is built, also bounds memory.
+    holds more than (count + 1) * (2*isqrt(g) + 1) rows of k cells.  That
+    price, from the exact count, is checked against budget before the walk.
     """
     count = _witness_count(k, g, budget)
-    if count > budget:
-        raise BudgetExceeded(f"{count} witnesses for k={k}, g={g} exceed {budget}")
+    cells = (count + 1) * (2 * math.isqrt(g) + 1) * k
+    if cells > budget:
+        raise BudgetExceeded(f"{cells} cells for {count} witnesses exceed {budget}")
     digits = np.arange(-math.isqrt(g), math.isqrt(g) + 1, dtype=np.int64)
     prefixes = np.zeros((1, 0), dtype=np.int64)
     norms = np.zeros(1, dtype=np.int64)
@@ -136,23 +137,23 @@ class ElkinArtifact:
 
     removed counts every annulus point the filter dropped; unit_removed
     counts those with a coordinate in [0, g], which a unit witness removes.
+    decode_all(set.elements, k, y) gives the survivors, in code order.
     """
 
     params: ConstructionParams
     shell: ShellSelection
     annulus_points: int
-    survivors: np.ndarray = field(compare=False)
     removed: int
     unit_removed: int
     set: APFreeSet
 
     @property
     def is_empty(self) -> bool:
-        return len(self.survivors) == 0
+        return self.set.size == 0
 
     @property
     def survivor_fraction(self) -> float:
-        return len(self.survivors) / self.annulus_points if self.annulus_points else 0.0
+        return self.set.size / self.annulus_points if self.annulus_points else 0.0
 
 
 def construct_elkin(
@@ -164,8 +165,9 @@ def construct_elkin(
 
     Only the annulus points of the sub-cube [g+1, y-1]^k are enumerated and
     filtered, each against the witnesses enumerate_witnesses says can certify
-    it.  The enumeration budget y^k is checked before the census runs, and
-    the tested dot products before the filter runs.  threads has no effect.
+    it; with no such point, no witness is enumerated.  The enumeration budget
+    y^k is checked before the census runs, and the tested dot products before
+    the filter runs.  threads has no effect.
     """
     k, y = params.k, params.y
     g = params.effective_g()
@@ -173,23 +175,21 @@ def construct_elkin(
     moments = exact_moments(k, y)
     hist = build_histogram(k, y, budget)
     shell = select_elkin_annulus(hist, moments, g)
-    points = shell_points(k, y, shell, budget, low=g + 1)
-    half = enumerate_witnesses(k, g, budget)
-    half = half[len(half) // 2 :]
-    tested = half[(half < 0).any(axis=1)]
-    dots = len(points) * len(tested)
-    if dots > budget:
-        raise BudgetExceeded(
-            f"{dots} certificate dot products exceed the budget {budget}"
-        )
-    kept = points[_uncertified(points, tested, g)]
+    kept = points = shell_points(k, y, shell, budget, low=g + 1)
+    if len(points):
+        half = enumerate_witnesses(k, g, budget)
+        half = half[len(half) // 2 :]
+        tested = half[(half < 0).any(axis=1)]
+        dots = len(points) * len(tested)
+        if dots > budget:
+            raise BudgetExceeded(f"{dots} certificate dot products exceed {budget}")
+        kept = points[_uncertified(points, tested, g)]
     elements = tuple(sorted(encode_all(kept, y, k)))
     apset = APFreeSet(n=params.n, elements=elements, method="elkin", params_echo=params)
     return ElkinArtifact(
         params=params,
         shell=shell,
         annulus_points=shell.population,
-        survivors=kept,
         removed=shell.population - len(kept),
         unit_removed=shell.population - len(points),
         set=apset,
@@ -206,9 +206,6 @@ def dhat_bound_check(
     at the effective ratio g / k.
     """
     enumerated = _witness_count(k, g, budget)
-    if epsilon is not None and g <= epsilon * k:
-        eps_eff = epsilon
-    else:
-        eps_eff = g / k
+    eps_eff = epsilon if epsilon is not None and g <= epsilon * k else g / k
     bound = 2.0 * 2.0 ** (eta(eps_eff) * k)
     return DhatCheck(enumerated=enumerated, bound=bound, ok=enumerated <= bound)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from apfree import behrend
 from apfree.behrend import construct_behrend
-from apfree.codec import decode, encode
+from apfree.codec import decode, decode_all, encode
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import _window_ends, shell_members
 from apfree.numeric import ConstructionParams, exact_moments
@@ -18,6 +19,11 @@ from test_lattice import brute_histogram
 
 def params_for(k, y, **kw):
     return ConstructionParams(n=(2 * y) ** k, k=k, y=y, **kw)
+
+
+def points_of(art):
+    """The shell points behind an artifact's set, rows in code order."""
+    return decode_all(art.set.elements, art.params.k, art.params.y)
 
 
 def two_step_shell(k, y, a):
@@ -36,7 +42,7 @@ class TestConstructBehrend:
     def test_k2_y3(self):
         art = construct_behrend(params_for(2, 3))
         assert art.shell.t_low == art.shell.t_high == 1
-        assert art.points.tolist() == [[0, 1], [1, 0]]
+        assert sorted(points_of(art).tolist()) == [[0, 1], [1, 0]]
         assert art.set.elements == (1, 6)
         assert art.set.n == 36
 
@@ -53,8 +59,9 @@ class TestConstructBehrend:
 
     def test_all_vectors_share_the_shell_norm(self):
         art = construct_behrend(params_for(3, 4))
-        assert {sum(c * c for c in v) for v in art.points.tolist()} == {art.shell.t_low}
-        assert len(art.points) == art.shell.population == art.set.size
+        points = points_of(art)
+        assert {sum(c * c for c in v) for v in points.tolist()} == {art.shell.t_low}
+        assert len(points) == art.shell.population == art.set.size
 
     def test_elements_stay_below_n(self):
         for k, y in [(2, 3), (3, 2), (2, 5), (4, 3)]:
@@ -64,7 +71,8 @@ class TestConstructBehrend:
     def test_decoding_recovers_the_shell(self):
         art = construct_behrend(params_for(3, 5))
         decoded = {decode(e, 3, 5) for e in art.set.elements}
-        assert decoded == set(map(tuple, art.points.tolist()))
+        assert decoded == set(map(tuple, points_of(art).tolist()))
+        assert decoded == set(shell_members(3, 5, art.shell))
 
     def test_output_is_midpoint_free(self):
         for k, y in [(2, 3), (3, 3), (4, 4), (2, 8)]:
@@ -73,7 +81,7 @@ class TestConstructBehrend:
 
     def test_shell_vectors_are_convexly_independent(self):
         art = construct_behrend(params_for(3, 4))
-        assert convexly_independent(art.points)
+        assert convexly_independent(points_of(art))
 
     def test_size_guarantee(self):
         for k in (2, 3, 4):
@@ -90,14 +98,19 @@ class TestConstructBehrend:
         for threads in (2, 8):
             art = construct_behrend(params_for(4, 4), threads=threads)
             assert art.set.elements == base.set.elements
-            assert np.array_equal(art.points, base.points)
 
     def test_points_match_vectors_and_shell_members(self):
         for k, y in [(2, 3), (3, 4), (4, 5), (5, 3)]:
             art = construct_behrend(params_for(k, y))
-            assert art.points.shape == (art.set.size, k)
-            assert [tuple(row) for row in art.points.tolist()] \
-                == shell_members(k, y, art.shell)
+            points = points_of(art)
+            assert points.shape == (art.set.size, k)
+            assert sorted(map(tuple, points.tolist())) == shell_members(k, y, art.shell)
+
+    def test_artifact_holds_the_set_once(self):
+        art = construct_behrend(params_for(3, 4))
+        fields = [f.name for f in dataclasses.fields(art)]
+        assert fields == ["params", "shell", "set"]
+        assert not any(isinstance(getattr(art, f), np.ndarray) for f in fields)
 
     def test_explicit_n_larger_than_cube(self):
         # n need not be an exact power; elements still fit below (2y)^k <= n

@@ -39,6 +39,15 @@ class TestConstruct:
         assert "size=0" in stdout
         assert "empty result" in stderr
 
+    def test_elkin_with_an_empty_sub_cube_exits_2_at_once(self, capsys):
+        # [7, 1]^26 holds no annulus point, so the 17M witnesses are never built.
+        start = time.perf_counter()
+        code, stdout, stderr = run(
+            capsys, "construct", "--method", "elkin", "--k", "26", "--y", "2", "--g", "6",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "size=0" in stdout and "empty result" in stderr
+
     def test_derives_params_from_n(self, capsys):
         code, stdout, _ = run(capsys, "construct", "--method", "behrend", "--n", "1296")
         assert code == 0
@@ -144,6 +153,24 @@ class TestVerify:
         path.write_text('{"schema": "other/1", "n": "5", "elements": []}')
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 3
+
+    def test_interval_bound_below_1_exits_3(self, capsys, tmp_path):
+        # n = 0 used to verify as "ok size=0" and break density
+        path = tmp_path / "zero.json"
+        path.write_text('{"schema": "apfree-set/1", "n": "0", "elements": []}')
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 3 and "parse error" in stderr and stdout == ""
+
+    def test_over_long_json_number_exits_3(self, capsys, tmp_path):
+        # the same value as a digit string parses; as a JSON number, json.load
+        # refuses it with a ValueError that is not a JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text('{"schema": "apfree-set/1", "n": %s, "elements": []}'
+                        % ("9" * 5000))
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "parse error" in stderr and stdout == ""
 
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run(capsys, "verify", "/no/such/file.json")

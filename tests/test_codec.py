@@ -160,6 +160,8 @@ class TestAPFreeSet:
             APFreeSet(n=10, elements=(1, 1), method="exact")
         with pytest.raises(ValueError):
             APFreeSet(n=10, elements=(1,), method="magic")
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            APFreeSet(n=0, elements=(), method="exact")
 
     def test_json_round_trip(self):
         params = ConstructionParams(n=36, k=2, y=3)

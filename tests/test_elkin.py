@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from apfree import elkin
 from apfree.behrend import construct_behrend
-from apfree.codec import encode_all
+from apfree.codec import decode_all, encode_all
 from apfree.elkin import (
     construct_elkin,
     dhat_bound_check,
@@ -41,6 +42,11 @@ def witness_set(k: int, g: int) -> set[tuple[int, ...]]:
 
 def rows_of(points) -> list[tuple[int, ...]]:
     return list(map(tuple, points.tolist()))
+
+
+def survivors_of(art) -> np.ndarray:
+    """The survivors behind an artifact's set, rows in code order."""
+    return decode_all(art.set.elements, art.params.k, art.params.y)
 
 
 def has_witness_brute(coords, k, g) -> bool:
@@ -101,10 +107,18 @@ class TestEnumerateWitnesses:
             enumerate_witnesses(200, 8, budget=10**4)
 
     def test_budget_is_checked_against_the_exact_count(self):
-        # k=4, g=2 has 32 witnesses
-        assert len(enumerate_witnesses(4, 2, budget=32)) == 32
-        with pytest.raises(BudgetExceeded, match="32 witnesses"):
-            enumerate_witnesses(4, 2, budget=31)
+        # k=4, g=2 has 32 witnesses; the walk is priced at (32 + 1) * 3 * 4 cells
+        assert len(enumerate_witnesses(4, 2, budget=396)) == 32
+        with pytest.raises(BudgetExceeded, match="396 cells for 32 witnesses"):
+            enumerate_witnesses(4, 2, budget=395)
+
+    def test_walk_memory_is_refused_before_the_walk(self):
+        # 43.1M witnesses pass a count check at the default budget, but the
+        # walk's last level would hold 6.5e9 int64 cells.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="cells"):
+            enumerate_witnesses(30, 6)
+        assert time.perf_counter() - start < 1.0
 
     def test_dp_count_equals_enumeration(self):
         for k in range(1, 9):
@@ -167,7 +181,7 @@ class TestConstructElkin:
     def test_k2_y8_g1_survivors_have_large_coords(self):
         art = construct_elkin(params_for(2, 8, 1))
         assert not art.is_empty
-        for v in art.survivors.tolist():
+        for v in survivors_of(art).tolist():
             assert all(c >= 2 for c in v)
             assert not has_witness_brute(v, 2, 1)
 
@@ -180,22 +194,23 @@ class TestConstructElkin:
     def test_census_balances(self):
         for k, y, g in [(2, 8, 1), (3, 5, 2), (4, 4, 1)]:
             art = construct_elkin(params_for(k, y, g))
-            assert len(art.survivors) + art.removed == art.annulus_points
-            assert art.set.size == len(art.survivors)
+            survivors = survivors_of(art)
+            assert len(survivors) + art.removed == art.annulus_points
+            assert art.set.size == len(survivors)
 
     def test_survivors_reverified_by_independent_pass(self):
         nonempty = 0
         for k, y, g in [(2, 8, 1), (3, 8, 1), (2, 10, 1)]:
             art = construct_elkin(params_for(k, y, g))
             nonempty += not art.is_empty
-            for v in art.survivors.tolist():
+            for v in survivors_of(art).tolist():
                 assert not has_witness_brute(v, k, g)
         assert nonempty == 3  # these parameters are known to keep survivors
 
     def test_no_vector_midpoints_among_survivors(self):
         art = construct_elkin(params_for(3, 8, 1))
-        assert len(art.survivors) >= 3
-        rows = rows_of(art.survivors)
+        rows = rows_of(survivors_of(art))
+        assert len(rows) >= 3
         table = set(rows)
         for u, w in itertools.combinations(rows, 2):
             s = tuple(a + b for a, b in zip(u, w))
@@ -212,7 +227,7 @@ class TestConstructElkin:
     def test_survivor_fraction(self):
         art = construct_elkin(params_for(2, 8, 1))
         assert art.survivor_fraction == pytest.approx(
-            len(art.survivors) / art.annulus_points
+            len(survivors_of(art)) / art.annulus_points
         )
         assert construct_elkin(params_for(2, 2, 1)).survivor_fraction == 0.0
 
@@ -221,7 +236,7 @@ class TestConstructElkin:
             art = construct_elkin(params_for(k, y, g))
             members = shell_members(k, y, art.shell)
             survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
-            assert rows_of(art.survivors) == survivors
+            assert sorted(rows_of(survivors_of(art))) == survivors
             assert (art.annulus_points, art.removed) == (len(members), removed)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
@@ -237,14 +252,15 @@ class TestConstructElkin:
         art = construct_elkin(params_for(k, y, g))
         members = shell_members(k, y, art.shell)
         survivors, removed = filter_survivors(members, enumerate_witnesses(k, g), g)
-        assert rows_of(art.survivors) == survivors
+        assert sorted(rows_of(survivors_of(art))) == survivors
         assert (art.annulus_points, art.removed) == (len(members), removed)
 
     def test_certificates_are_tested_once_on_whole_sub_cubes(self, monkeypatch):
         # Oracle from itertools alone: every witness, one-sided, on every point
         # of [g+1, y-1]^k.  The sign-pure witnesses certify none of them, and
         # the two-sided test on the mixed half construct_elkin passes to the
-        # filter gives the same mask.
+        # filter gives the same mask.  Here the filter is handed the whole
+        # sub-cube, so it runs once when that is nonempty and never otherwise.
         tested = []
 
         def spy(points, deltas, g):
@@ -253,18 +269,22 @@ class TestConstructElkin:
 
         uncertified = elkin._uncertified
         monkeypatch.setattr(elkin, "_uncertified", spy)
+        monkeypatch.setattr(elkin, "shell_points", lambda *args, **kw: cube)
         for k in range(1, 6):
             for g in range(1, 6):
                 deltas = sorted(brute_witnesses(k, g))
                 mixed = {d for d in deltas if min(d) < 0 < max(d)}
                 first_positive = {d for d in mixed if next(c for c in d if c) > 0}
                 for y in range(2, 9):
-                    tested.clear()
-                    construct_elkin(params_for(k, y, g))
-                    (half,) = tested
-                    assert sorted(rows_of(half)) == sorted(first_positive), (k, g)
                     cube = np.array(list(itertools.product(range(g + 1, y), repeat=k)),
                                     dtype=np.int64).reshape(-1, k)
+                    tested.clear()
+                    construct_elkin(params_for(k, y, g))
+                    if not len(cube):  # y <= g + 1: nothing to test
+                        assert tested == [], (k, y, g)
+                        continue
+                    (half,) = tested
+                    assert sorted(rows_of(half)) == sorted(first_positive), (k, g)
                     dots = cube @ np.array(deltas, dtype=np.int64).reshape(-1, k).T
                     certified = (dots >= 0) & (dots <= g)
                     pure = [min(d) >= 0 or max(d) <= 0 for d in deltas]
@@ -318,12 +338,12 @@ class TestConstructElkin:
         # filter tests it, and on [2, 7]^3 its dot products are at least 3,
         # so it changes no survivor.
         k, y, g = 3, 8, 1
-        points = len(construct_elkin(params_for(k, y, g)).survivors)  # g = 1: all
+        points = len(survivors_of(construct_elkin(params_for(k, y, g))))  # g = 1: all
         tested = np.tile([5, -1, 0], (10**4 // points + 1, 1))
         padded = np.concatenate((-tested, tested))  # row i is minus row M-1-i
         dots = points * len(tested)
         monkeypatch.setattr(elkin, "enumerate_witnesses", lambda *args: padded)
-        assert len(construct_elkin(params_for(k, y, g), budget=dots).survivors) > 0
+        assert len(survivors_of(construct_elkin(params_for(k, y, g), budget=dots))) > 0
 
         def filter_ran(*args):
             raise AssertionError("the certificate filter ran")
@@ -333,6 +353,25 @@ class TestConstructElkin:
         with pytest.raises(BudgetExceeded, match="dot products"):
             construct_elkin(params_for(k, y, g), budget=dots - 1)
         assert time.perf_counter() - start < 1.0
+
+    def test_empty_sub_cube_enumerates_no_witness(self, monkeypatch):
+        # [7, 1]^26 is empty; the 17,166,084 witnesses of k=26, g=6 would need
+        # a walk of 2.2e9 cells, refused by the budget if it ran.
+        def walk(*args):
+            raise AssertionError("the witnesses were enumerated")
+
+        monkeypatch.setattr(elkin, "enumerate_witnesses", walk)
+        start = time.perf_counter()
+        art = construct_elkin(params_for(26, 2, 6))
+        assert time.perf_counter() - start < 1.0
+        assert art.is_empty and art.removed == art.unit_removed == art.annulus_points
+
+    def test_artifact_holds_the_set_once(self):
+        art = construct_elkin(params_for(3, 8, 1))
+        fields = [f.name for f in dataclasses.fields(art)]
+        assert fields == ["params", "shell", "annulus_points", "removed",
+                          "unit_removed", "set"]
+        assert not any(isinstance(getattr(art, f), np.ndarray) for f in fields)
 
     def test_derives_g_when_unset(self):
         art = construct_elkin(ConstructionParams(n=6**4, k=4, y=3))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree.errors import BudgetExceeded, EmptyWindow
@@ -410,6 +410,17 @@ class TestSelectionAgainstReference:
         assert time.perf_counter() - start < 0.1
 
 
+@st.composite
+def scans(draw):
+    """(k, y, low, t_low, t_high): a cube of at most 3*10^4 points, low up to
+    y + 2, and window ends from below norm 0 to past the top norm."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    y = draw(st.integers(min_value=2, max_value=math.floor(3e4 ** (1 / k))))
+    top = k * (y - 1) ** 2
+    ends = st.integers(min_value=-3, max_value=top + 3)
+    return k, y, draw(st.integers(min_value=0, max_value=y + 2)), draw(ends), draw(ends)
+
+
 class TestShellMembers:
     def _shell(self, lo, hi):
         return ShellSelection(
@@ -482,6 +493,19 @@ class TestShellMembers:
                 expected = cube[in_sub_cube & (norms >= lo) & (norms <= hi)]
                 assert points.shape == expected.shape and points.dtype == np.int64
                 assert (points == expected).all()
+
+    @given(scans())
+    @example((3, 5, 2, 0, 11))   # the window ends below the sub-cube's least norm 12
+    @example((2, 4, 4, 0, 18))   # low >= y: the sub-cube is empty
+    @example((3, 30, 0, 0, 2523))  # more than one scan chunk
+    @settings(max_examples=60, deadline=None)
+    def test_random_scans_equal_brute_cube_filter(self, scan):
+        k, y, low, lo, hi = scan
+        expected = [v for v in itertools.product(range(low, y), repeat=k)
+                    if lo <= sum(c * c for c in v) <= hi]
+        points = shell_points(k, y, self._shell(lo, hi), low=low)
+        assert points.dtype == np.int64 and points.shape == (len(expected), k)
+        assert [tuple(row) for row in points.tolist()] == expected
 
     def test_sub_cube_keeps_cube_budget_and_rejects_negative_low(self):
         with pytest.raises(BudgetExceeded):
