@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 
 from . import behrend, elkin, lattice, numeric, verify as verify_mod
@@ -49,6 +48,13 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
                        help="accepted for compatibility; has no effect")
 
 
+def _add_knobs(p: argparse.ArgumentParser) -> None:
+    # Unset knobs stay None; numeric.resolve_params fills in the defaults.
+    p.add_argument("--a", type=float, help="Chebyshev multiplier")
+    p.add_argument("--epsilon", type=float, help="annulus width ratio")
+    p.add_argument("--g", type=int, help="annulus squared-width")
+
+
 def _parse_range(spec: str) -> range:
     lo, _, hi = spec.partition(":")
     try:
@@ -71,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="interval bound; k and y are derived")
     p.add_argument("--k", type=int, help="dimension (with --y, instead of --n)")
     p.add_argument("--y", type=int, help="cube side (with --k, instead of --n)")
-    p.add_argument("--a", type=float, default=None, help="Chebyshev multiplier")
-    p.add_argument("--epsilon", type=float, default=None, help="annulus width ratio")
-    p.add_argument("--g", type=int, default=None, help="annulus squared-width")
+    _add_knobs(p)
     p.add_argument("--out", help="write the set to this path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--reproducible", action="store_true",
@@ -88,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["behrend", "elkin"])
     p.add_argument("--k-range", required=True, help="inclusive range, e.g. 2:4")
     p.add_argument("--y-range", required=True, help="inclusive range, e.g. 2:8")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--g", type=int, default=None)
+    _add_knobs(p)
     p.add_argument("--out", required=True, help="CSV output path")
     _add_common(p)
 
@@ -106,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default stdout)")
     _add_common(p, threads=False)
 
-    p = sub.add_parser("witness-count", help="enumerate short certificate vectors")
+    p = sub.add_parser("witness-count",
+                       help="count short certificate vectors with the norm DP")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None)
@@ -121,40 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_knobs(
-    params: ConstructionParams,
-    method: str,
-    a: float | None,
-    epsilon: float | None,
-    g: int | None,
-) -> ConstructionParams:
-    overrides: dict = {}
-    if a is not None:
-        overrides["a"] = a
-    if epsilon is not None:
-        overrides["epsilon"] = epsilon
-        if g is None:
-            overrides["g"] = None  # re-derive the width from the new epsilon
-    if g is not None:
-        overrides["g"] = g
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
-    if method == "elkin" and params.g is None:
-        params = dataclasses.replace(params, g=params.effective_g())
-    return params
-
-
 def _resolve_params(args) -> ConstructionParams:
     explicit = args.k is not None or args.y is not None
     if (args.n is None) == (not explicit):
         raise ValueError("give exactly one of --n or (--k and --y)")
-    if args.n is not None:
-        params = numeric.default_params(args.n, args.method)
-    else:
-        if args.k is None or args.y is None:
-            raise ValueError("--k and --y must be given together")
-        params = ConstructionParams(n=(2 * args.y) ** args.k, k=args.k, y=args.y)
-    return _apply_knobs(params, args.method, args.a, args.epsilon, args.g)
+    if explicit and (args.k is None or args.y is None):
+        raise ValueError("--k and --y must be given together")
+    n = args.n if args.n is not None else (2 * args.y) ** args.k
+    return numeric.resolve_params(
+        args.method, n, args.k, args.y, args.a, args.epsilon, args.g
+    )
 
 
 def _write_set(apset: APFreeSet, args) -> None:
@@ -208,9 +187,8 @@ def cmd_sweep(args) -> int:
     for k in k_range:
         for y in y_range:
             n = (2 * y) ** k
-            params = _apply_knobs(
-                ConstructionParams(n=n, k=k, y=y),
-                args.method, args.a, args.epsilon, args.g,
+            params = numeric.resolve_params(
+                args.method, n, k, y, args.a, args.epsilon, args.g
             )
             art = _CONSTRUCT[args.method](params, budget=args.budget)
             fraction = art.survivor_fraction if args.method == "elkin" else ""

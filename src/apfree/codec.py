@@ -187,6 +187,6 @@ def set_from_json_dict(doc: dict) -> APFreeSet:
 def read_set(fh: IO[str]) -> APFreeSet:
     try:
         doc = json.load(fh)
-    except ValueError as exc:  # bad syntax or encoding, or an over-long integer
+    except (ValueError, RecursionError) as exc:  # also over-long or too deep
         raise SetFormatError(f"not valid JSON: {exc}") from exc
     return set_from_json_dict(doc)

@@ -8,8 +8,9 @@ enumeration would produce.  A census round reads only the norms the earlier
 rounds can reach, about k^2 * y^3 / 2 cells in all, plus one copy of the
 k(y-1)^2 + 1 cells per round; not y^k.
 The census is one dense array, counts[t] for t = 0..k(y-1)^2, from the DP
-through selection to the CSV: both selections read it through slices and
-prefix sums and take one argmax.
+through selection to the CSV.  Both selections tile their window (Behrend
+with single norms, Elkin with width-g sub-windows) and share one pick: the
+most populated tile, from one prefix sum of the census.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
 of ranks, keeps the ranks whose squared norm lies in the window, and unravels
 those once into an (N, k) int64 array; it can be narrowed to a sub-cube
@@ -137,6 +138,23 @@ def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
     return -((r - m) // d), (m + r) // d
 
 
+def _best_tile(
+    counts: np.ndarray, starts: np.ndarray, ends: np.ndarray, lo: int, hi: int
+) -> tuple[int, int, int]:
+    """(i, population, census total) of the most populated tile [starts[i], ends[i]].
+
+    Ties go to the first tile.  Tiles may reach below norm 0 or past the top
+    of the census.  Raises EmptyWindow for the window [lo, hi] if all are empty.
+    """
+    prefix = np.concatenate(([0], np.cumsum(counts)))  # prefix[i] = sum(counts[:i])
+    size = len(counts)
+    pops = prefix[np.clip(ends + 1, 0, size)] - prefix[np.clip(starts, 0, size)]
+    if not pops.any():
+        raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
+    best = int(np.argmax(pops))
+    return best, int(pops[best]), int(prefix[-1])
+
+
 def select_behrend_shell(
     counts: np.ndarray, moments: MomentSummary, a: float
 ) -> ShellSelection:
@@ -151,19 +169,15 @@ def select_behrend_shell(
         raise ValueError(f"a must be finite and > 0, got {a}")
     a_frac = Fraction(a)
     lo, hi = _window_ends(moments.mu_Z, a_frac * a_frac * moments.var_Z)
-    start = max(lo, 1)
-    in_window = counts[start : hi + 1]  # hi >= floor(mu) >= 0: the slice never wraps
-    best_count = int(in_window.max(initial=0))
-    if best_count == 0:
-        raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
-    best = int(np.argmax(in_window))
-    total = int(counts.sum())
+    # Width-1 tiles over the part of the window the census holds.
+    norms = np.arange(max(lo, 1), min(hi, len(counts) - 1) + 1)
+    best, best_count, total = _best_tile(counts, norms, norms, lo, hi)
     sigma = moments.sigma_Z
     bound = float((1 - 1 / (a_frac * a_frac)) * total) / (2 * a * sigma + 1)
     window = (float(moments.mu_Z) - a * sigma, float(moments.mu_Z) + a * sigma)
     return ShellSelection(
-        t_low=start + best,
-        t_high=start + best,
+        t_low=int(norms[best]),
+        t_high=int(norms[best]),
         population=best_count,
         sigma_window=window,
         pigeonhole_bound=bound,
@@ -187,27 +201,17 @@ def select_elkin_annulus(
     counts is the census from build_histogram.  The window is tiled into
     ell = ceil(4*sigma/g) integer sub-windows: the first ell-1 are half-open
     of width g (g integer norms each), the last is closed and absorbs the
-    remainder (at most g+1 norms).  Tiles may reach below norm 0 or past the
-    top of the census; their populations are differences of one prefix sum.
-    Ties break toward the smallest t_low.  The pigeonhole floor is
-    ceil((3/4) * y^k / ell).
+    remainder (at most g+1 norms).  Ties break toward the smallest t_low.
+    The pigeonhole floor is ceil((3/4) * y^k / ell).
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
-    lo0, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
-    if lo0 > hi:
-        raise EmptyWindow("the Chebyshev window contains no integer squared norm")
+    lo, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
     ell = annulus_count(moments, g)
-    starts = np.arange(lo0, hi + 1, g)[:ell]
-    ends = np.append(starts[1:] - 1, hi)
-    prefix = np.concatenate(([0], np.cumsum(counts)))  # prefix[i] = sum(counts[:i])
-    size = len(counts)
-    pops = prefix[np.clip(ends + 1, 0, size)] - prefix[np.clip(starts, 0, size)]
-    best = int(np.argmax(pops))
-    best_count = int(pops[best])
-    if best_count == 0:
-        raise EmptyWindow(f"no populated squared norm in [{lo0}, {hi}]")
-    total = int(prefix[-1])
+    starts = np.arange(lo, hi + 1, g)[:ell]
+    ends = starts + (g - 1)
+    ends[-1:] = hi  # the last tile absorbs the remainder
+    best, best_count, total = _best_tile(counts, starts, ends, lo, hi)
     bound = -((-3 * total) // (4 * ell))  # ceil(3*total / (4*ell))
     sigma = moments.sigma_Z
     window = (float(moments.mu_Z) - 2 * sigma, float(moments.mu_Z) + 2 * sigma)

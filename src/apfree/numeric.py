@@ -3,8 +3,8 @@
 Everything that is a closed formula lives here: half-integer Gamma values,
 ball volumes, the exact first two moments of the squared norm of a uniform
 random cube vector, the witness-count exponent eta(epsilon), the classical
-and improved density comparators, and parameter derivation from a target
-interval bound n.
+and improved density comparators, and a run's parameters: (k, y) derived
+from a target interval bound n, and the knobs resolved once for both methods.
 
 Moments are kept as exact rationals.  For Y uniform on {0..y-1}:
 
@@ -207,25 +207,37 @@ def derive_dimension(n: int) -> int:
     return math.isqrt((n * n - 1).bit_length() - 1) + 1
 
 
-def default_params(n: int, method: str) -> ConstructionParams:
-    """Derive (k, y) from n: k = ceil(sqrt(2 log2 n)), y = floor(n^(1/k) / 2).
+def resolve_params(
+    method: str, n: int, k: int | None = None, y: int | None = None,
+    a: float | None = None, epsilon: float | None = None, g: int | None = None,
+) -> ConstructionParams:
+    """The parameters of one run, for both methods and every caller.
 
-    The annulus method additionally gets g = effective_g().
-    Raises DegenerateParameters when the derived y falls below 2.
+    Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and
+    y = floor(n^(1/k) / 2), DegenerateParameters if y < 2.  A knob left at
+    None takes its default; the annulus method carries g = effective_g().
     """
     method = method.lower()
     if method not in ("behrend", "elkin"):
         raise ValueError(f"unknown method {method!r}")
-    k = derive_dimension(n)
-    if k < 2:
-        raise DegenerateParameters(f"n = {n} gives dimension k = {k} < 2")
-    y = _integer_kth_root(n, k) // 2
-    if y < 2:
-        raise DegenerateParameters(f"n = {n} gives k = {k}, y = {y} < 2")
-    params = ConstructionParams(n=n, k=k, y=y)
-    if method == "elkin":
+    if k is None or y is None:
+        k = derive_dimension(n)
+        y = _integer_kth_root(n, k) // 2
+        if y < 2:
+            raise DegenerateParameters(f"n = {n} gives k = {k}, y = {y} < 2")
+    params = ConstructionParams(
+        n=n, k=k, y=y, g=g,
+        a=DEFAULT_CHEBYSHEV_A if a is None else a,
+        epsilon=DEFAULT_EPSILON if epsilon is None else epsilon,
+    )
+    if method == "elkin" and params.g is None:
         params = replace(params, g=params.effective_g())
     return params
+
+
+def default_params(n: int, method: str) -> ConstructionParams:
+    """resolve_params with (k, y) derived from n and every knob at its default."""
+    return resolve_params(method, n)
 
 
 def _bound_exponent(n: int) -> tuple[float, float]:

@@ -8,6 +8,7 @@ import pytest
 
 from apfree.cli import main
 from apfree.codec import APFreeSet
+from apfree.numeric import feasibility_gap
 
 
 def run(capsys, *argv):
@@ -110,6 +111,62 @@ class TestConstruct:
         assert exc_info.value.code == 1
 
 
+class TestParamsResolution:
+    """construct's JSON params for every base and knob: one rule for both methods.
+
+    A knob left out takes its default; elkin carries g = effective_g(), which
+    is 1 here, unless --g is given; behrend echoes g only when given.
+    """
+
+    BASES = {
+        "n": ["--n", str(2**28)],                   # k=8, y=5: elkin keeps 56 at g=1
+        "ky": ["--k", "4", "--y", "6"],             # elkin empty at every g
+        "mixed": ["--n", "64", "--k", "3", "--y", "2"],
+    }
+    KNOBS = {
+        "none": [],
+        "a": ["--a", "3"],
+        "epsilon": ["--epsilon", "0.06"],
+        "infeasible_epsilon": ["--epsilon", "0.3"],
+        "g": ["--g", "2"],
+        "g0": ["--g", "0"],
+        "epsilon_and_g": ["--epsilon", "0.3", "--g", "2"],
+    }
+
+    @staticmethod
+    def expected(method, base, knob_args):
+        """(exit code, stderr fragment or the params echo)."""
+        knobs = dict(zip(knob_args[::2], knob_args[1::2]))
+        if base == "mixed":
+            return 1, "give exactly one of --n or (--k and --y)"
+        if knobs.get("--g") == "0":
+            return 1, "g must be >= 1, got 0"
+        epsilon = float(knobs.get("--epsilon", 0.05))
+        g = int(knobs["--g"]) if "--g" in knobs else None
+        if method == "elkin" and g is None:
+            if feasibility_gap(epsilon) <= 0:
+                return 1, f"epsilon = {epsilon} violates eps + eta(eps)"
+            g = 1
+        code = 2 if method == "elkin" and (base != "n" or g != 1) else 0
+        return code, {"a": float(knobs.get("--a", 2.0)), "epsilon": epsilon, "g": g}
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("method", ["behrend", "elkin"])
+    def test_params(self, capsys, tmp_path, method, base, knob):
+        out = tmp_path / "set.json"
+        code, _, stderr = run(capsys, "construct", "--method", method,
+                              *self.BASES[base], *self.KNOBS[knob],
+                              "--out", str(out), "--reproducible")
+        want_code, want = self.expected(method, base, self.KNOBS[knob])
+        assert code == want_code
+        if code == 1:
+            assert want in stderr and not out.exists()
+        else:
+            params = json.loads(out.read_text())["params"]
+            assert {key: params[key] for key in want} == want
+
+
 class TestVerify:
     def test_valid_file(self, capsys, tmp_path):
         path = tmp_path / "ok.json"
@@ -167,6 +224,15 @@ class TestVerify:
         path = tmp_path / "long.json"
         path.write_text('{"schema": "apfree-set/1", "n": %s, "elements": []}'
                         % ("9" * 5000))
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "parse error" in stderr and stdout == ""
+
+    def test_deeply_nested_json_exits_3(self, capsys, tmp_path):
+        # json.load raises RecursionError, not a ValueError, on deep nesting
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
         start = time.perf_counter()
         code, stdout, stderr = run(capsys, "verify", str(path))
         assert time.perf_counter() - start < 1.0

@@ -213,6 +213,15 @@ class TestSelectBehrendShell:
                         continue
                     assert shell.t_low >= 1
 
+    def test_huge_a_is_clipped_to_the_census(self):
+        # The window reaches ~10^16; only the census's 393 norms are tiled.
+        counts, moments = build_histogram(8, 8), exact_moments(8, 8)
+        start = time.perf_counter()
+        shell = select_behrend_shell(counts, moments, 1e15)
+        assert time.perf_counter() - start < 0.1
+        assert shell.t_low == shell.t_high == 1 + int(np.argmax(counts[1:]))
+        assert shell.population == counts[1:].max()
+
     @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_non_positive_or_non_finite_a(self, a):
         with pytest.raises(ValueError, match="a must be finite and > 0"):
@@ -295,6 +304,14 @@ class TestSelectElkinAnnulus:
         shell = select_elkin_annulus(hist, moments, g)
         assert (shell.t_low, shell.t_high) == (-1, 8)
         assert shell.population == 9
+
+    def test_window_without_an_integer_norm_is_empty(self):
+        # mu = 1/2, sigma = 1/10: the a=2 window [0.3, 0.7] holds no integer,
+        # so there is no tile.  No cube gets here: there 4*sigma >= 2.
+        moments = MomentSummary(Fraction(1, 2), Fraction(1, 100))
+        for g in (1, 2):
+            with pytest.raises(EmptyWindow, match=r"no populated squared norm in \[1, 0\]"):
+                select_elkin_annulus(census({0: 1, 1: 1}), moments, g)
 
     def test_k2_y3_g1(self):
         shell = select_elkin_annulus(build_histogram(2, 3), exact_moments(2, 3), 1)

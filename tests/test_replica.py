@@ -1,10 +1,12 @@
-"""The benchmark's traced replica still runs against the program.
+"""The benchmark's invocations and its traced replica still run against the program.
 
 perfbench/trace_pipeline.py calls the public functions of each module the
 way the CLI does and checks every output against perfbench/reference.json.
 A program change that renames or reshapes one of those functions breaks the
 benchmark, not the program's own tests; this runs the replica's quickest
 workload in a fresh interpreter so that such a change fails here first.
+The replica builds its parameters itself, so every benchmark invocation is
+also run through the real CLI, in process, and checked the same way.
 """
 
 import json
@@ -13,7 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from apfree.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harness  # noqa: E402
 
 
 def test_oracles_replica_passes(tmp_path):
@@ -27,3 +34,17 @@ def test_oracles_replica_passes(tmp_path):
     record = json.loads(proc.stdout)
     assert record["checked"] > 0
     assert record["failed"] == 0 and record["problems"] == []
+
+
+def test_cli_matches_the_reference_on_every_workload(capsys, monkeypatch, tmp_path):
+    reference = json.loads(harness.REFERENCE.read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    checked = set()
+    for units in harness.WORKLOADS.values():
+        for inv in (inv for unit in units for inv in unit):
+            code = main(list(inv.argv))
+            out = capsys.readouterr()
+            result = harness.ChildResult(code, 0.0, 0.0, out.out, out.err)
+            assert harness.check_invocation(inv, result, reference, tmp_path) == []
+            checked.add(inv.name)
+    assert checked == set(reference["invocations"]) - {harness.SETUP.name}
