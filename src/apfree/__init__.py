@@ -56,6 +56,8 @@ from .verify import (
     exact_nu,
     exact_nu_bb,
     midpoint_free,
+    progression_free,
+    short_difference_free,
 )
 
 __version__ = "0.1.0"
@@ -98,9 +100,11 @@ __all__ = [
     "filter_survivors",
     "gamma_half_integer",
     "midpoint_free",
+    "progression_free",
     "read_set",
     "select_behrend_shell",
     "select_elkin_annulus",
     "shell_members",
     "shell_points",
+    "short_difference_free",
 ]

@@ -172,9 +172,10 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.in_path, "r", encoding="utf-8") as fh:
         apset = read_set(fh)
-    report = verify_mod.midpoint_free(apset, budget=args.budget)
+    report = verify_mod.progression_free(apset, budget=args.budget)
     if report.ok:
-        print(f"ok size={apset.size} pairs_checked={report.pairs_checked}")
+        print(f"ok size={apset.size} check={report.check} "
+              f"pairs_checked={report.pairs_checked}")
         return EXIT_OK
     i, j, l = report.witness
     print(f"witness {i} = ({j}+{l})/2")

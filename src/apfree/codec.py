@@ -25,7 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import CoordOutOfRange, DigitOutOfRange, SetFormatError
+from .errors import ApfreeError, CoordOutOfRange, DigitOutOfRange, SetFormatError
 from .numeric import ConstructionParams, int_dtype
 
 SCHEMA = "apfree-set/1"
@@ -169,16 +169,35 @@ def _json_int(value) -> int:
     raise SetFormatError(f"expected an integer or a digit string, got {value!r:.40}")
 
 
+def _params_from_json(doc: dict, n: int) -> ConstructionParams | None:
+    """The parameters a set file records, or None where it records none (k and
+    y are 0 in files of sets built elsewhere) or ones that are not valid."""
+    knobs = doc.get("params") if isinstance(doc.get("params"), dict) else {}
+    try:
+        k, y = _json_int(doc.get("k")), _json_int(doc.get("y"))
+        # (2y)^k <= n needs this; test it before anything raises 2y to the k
+        if k * ((2 * y).bit_length() - 1) > n.bit_length():
+            return None
+        return ConstructionParams(
+            n, k, y, **{key: knobs[key] for key in ("a", "epsilon", "g")
+                        if knobs.get(key) is not None},
+        )
+    except (ApfreeError, TypeError):
+        return None
+
+
 def set_from_json_dict(doc: dict) -> APFreeSet:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise SetFormatError(f"missing or unsupported schema (expected {SCHEMA!r})")
     if "n" not in doc or not isinstance(doc.get("elements"), list):
         raise SetFormatError("malformed document: needs n and a list of elements")
     try:
+        n = _json_int(doc["n"])
         return APFreeSet(
-            n=_json_int(doc["n"]),
+            n=n,
             elements=tuple(_json_int(e) for e in doc["elements"]),
             method=doc.get("method", "external"),
+            params_echo=_params_from_json(doc, n),
         )
     except ValueError as exc:
         raise SetFormatError(str(exc)) from exc

@@ -337,16 +337,13 @@ def discrepancy_scan(
     if not t_grid:
         return []
     table = _capped_counts_table(k, max(t_grid), m, budget)
-    records = []
-    for t in t_grid:
-        records.append(
-            DiscrepancyRecord(
-                k=k,
-                t=t,
-                m=m,
-                count_exact=int(table[t]),
-                volume=capped_ball_volume(k, t, m),
-                reference_volume=capped_ball_volume(k - 2, t, m),
-            )
-        )
-    return records
+    # Each coefficient once per scan: the cap divides by a power of two, which
+    # commutes with rounding, so unit * t^(k/2) is capped_ball_volume(k, t, m)
+    # bit for bit.
+    unit, unit_ref = capped_ball_volume(k, 1, m), capped_ball_volume(k - 2, 1, m)
+    return [
+        DiscrepancyRecord(k=k, t=t, m=m, count_exact=int(table[t]),
+                          volume=unit * t ** (k / 2),
+                          reference_volume=unit_ref * t ** ((k - 2) / 2))
+        for t in t_grid
+    ]

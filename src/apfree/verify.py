@@ -1,9 +1,12 @@
-"""Independent ground-truth checks: midpoint-freeness, convex position, exact optima.
+"""Independent ground-truth checks: progression-freeness, convex position, exact optima.
 
-midpoint_free is the arbiter every construction output must pass.  It prices
-itself first, by the same-parity pairs it will test, and refuses above its
-budget before it builds any array; then it scans those pairs in numpy, one
-index offset at a time, with binary-search membership against the sorted set.
+Every construction output must pass progression_free, the cheaper of two
+exact checks.  short_difference_free decodes a set of cube codes and looks up
+only the steps the span of its squared norms allows: none on a Behrend shell
+(0.01 s for the 160,217 elements at 2^32).  midpoint_free checks any integer
+set: priced by its same-parity pairs and refused above budget before any
+array is built, it scans them in numpy, one index offset at a time, with
+binary-search membership against the sorted set.
 
 The two exact optimum searches (recursive include-first DFS and an
 explicit-stack branch-and-bound) are deliberately separate implementations
@@ -16,13 +19,16 @@ on element 2b - a, into that mask.
 
 Both searches exploit translation invariance: the best progression-free
 subset of any window of length L has the same size as for {1..L}, so the
-table of optima for shorter prefixes prunes the search for longer ones.
+table of optima for shorter prefixes prunes the search for longer ones.  Each
+also steps straight to the next element its forbidden mask leaves open and
+bounds a branch by how many are open.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,29 +38,34 @@ from .errors import BudgetExceeded
 from .numeric import int_dtype
 
 #: exact_nu default search bound.  The table of optima up to n = 48 takes
-#: about 0.1 s and up to n = 64 about 8 s (2-core Xeon VM, Python 3.11).
+#: about 0.04 s, up to 56 about 0.3 s and up to 64 about 2 s (2-core Xeon VM,
+#: Python 3.11).
 NU_BUDGET = 64
 
-#: exact_nu_bb default search bound (value-only search reaches farther).
+#: exact_nu_bb default search bound (value-only search reaches farther); its
+#: table takes about 0.03 s up to n = 48 and 1.3 s up to 64 on the same VM.
 NU_BB_BUDGET = 120
 
 CONVEX_BUDGET = 2000
 
-#: midpoint_free default budget, in same-parity pairs: the 2^26 Behrend set
-#: (2,382,408 pairs) passes, the 2^32 one needs a larger --budget.
+#: Default budget of both checks, in pairs tested.  midpoint_free takes the
+#: 2^26 Behrend set (2,382,408 pairs) in 0.05 s; the 2^32 one would take 90 s.
 MIDPOINT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a midpoint-freeness check.
+    """Outcome of a progression-freeness check.
 
-    witness is (i, j, l) with i = (j + l) / 2 when a violation exists.
+    witness is (i, j, l) with i = (j + l) / 2 when a violation exists.  check
+    names the method; pairs_checked counts its (element, element) or
+    (element, step) pairs.
     """
 
     ok: bool
     witness: tuple[int, int, int] | None
     pairs_checked: int
+    check: str = "midpoint"
 
 
 def _elements_of(s) -> tuple[int, ...]:
@@ -135,6 +146,98 @@ def midpoint_free(
     return report
 
 
+def _short_differences(
+    k: int, radix: int, w: int, m: int, cap: int, dtype
+) -> np.ndarray | None:
+    """Sorted codes of the d in [-m, m]^k with 0 < |d|^2 <= w and code(d) > 0,
+    or None if more than cap.  Each level's partial vectors, sorted by norm,
+    are at most the 2 cap + 1 full ones (pad with zeros), checked before built.
+    """
+    norm, code = np.zeros(1, dtype), np.zeros(1, dtype)
+    xs = np.arange(-m, m + 1, dtype=dtype)
+    for i in range(k):
+        keeps = np.searchsorted(norm, w - xs * xs, side="right").tolist()
+        if sum(keeps) > 2 * cap + 1:
+            return None
+        parts = [(norm[:c] + x * x, code[:c] + x * radix**i)
+                 for x, c in zip(xs.tolist(), keeps)]
+        norm, code = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(norm, kind="stable")
+        norm, code = norm[order], code[order]
+    # the sign of a code is the sign of its top nonzero digit: one of each +- pair
+    return np.sort(code[code > 0])
+
+
+def short_difference_free(
+    s: Iterable[int] | APFreeSet, k: int, y: int, budget: int = MIDPOINT_BUDGET
+) -> VerificationReport | None:
+    """Exact check of a set of radix-2y codes of points of [0, y-1]^k, or None,
+    having tested nothing, if an element is no such code or the check would
+    test more than budget (element, step) pairs.
+
+    Codes add without carries, so codes a < b < c in progression are points
+    with step d = b - a, and 2|d|^2 = |a|^2 + |c|^2 - 2|b|^2 is at most twice
+    the span w of the squared norms.  So a + code(d) and a + 2 code(d) are
+    looked up for every element a and every d with 0 < |d|^2 <= w and
+    code(d) > 0: a hit is a progression, none proves there is none.  The
+    witness has the smallest code(d) that hits, then the smallest a.
+    """
+    if k < 1 or y < 2:
+        raise ValueError(f"need k >= 1 and y >= 2, got k={k}, y={y}")
+    elements, radix = _elements_of(s), 2 * y
+    n = len(elements)
+    if not n:
+        return VerificationReport(True, None, 0, "short-difference")
+    # below radix^k, k digits leave nothing over
+    if elements[0] < 0 or elements[-1] >= radix**k:
+        return None
+    dtype = int_dtype(max(2 * radix**k, k * y * y))
+    codes = np.array(elements, dtype=dtype)
+    rem, norms = codes.copy(), np.zeros(n, dtype)
+    for _ in range(k):
+        digit = rem % radix
+        if (digit >= y).any():
+            return None
+        norms += digit * digit
+        rem //= radix
+    # a and a + 2d in the cube keep each |d_i| <= (y - 1) / 2
+    w = int(norms.max() - norms.min())
+    m, cap = min((y - 1) // 2, isqrt(w)), budget // n
+    # the d = x e_i alone number k m
+    diffs = None if k * m > cap else _short_differences(k, radix, w, m, cap, dtype)
+    if diffs is None:
+        return None
+    rows = max(1, (1 << 18) // n)
+    for start in range(0, len(diffs), rows):
+        step = diffs[start : start + rows, None]
+        nxt = codes + step
+        idx = np.minimum(np.searchsorted(codes, nxt), n - 1)
+        found = codes[idx] == nxt
+        # a + d in the set, at idx, and a + 2d too
+        hit = found & np.take_along_axis(found, idx, axis=1)
+        if hit.any():
+            r, i = divmod(int(np.argmax(hit)), n)
+            a, d = int(codes[i]), int(step[r, 0])
+            return VerificationReport(False, (a + d, a, a + 2 * d),
+                                      n * (start + r + 1), "short-difference")
+    return VerificationReport(True, None, n * len(diffs), "short-difference")
+
+
+def progression_free(
+    s: APFreeSet, budget: int = MIDPOINT_BUDGET
+) -> VerificationReport:
+    """The short-difference check when s records its cube (k, y), every
+    element decodes, and it tests no more pairs than budget and than the
+    n(n - 2)/4 same-parity pairs any n elements give midpoint_free; else
+    midpoint_free, which refuses above budget."""
+    p, n = s.params_echo, s.size
+    if p is not None:
+        report = short_difference_free(s, p.k, p.y, min(budget, n * (n - 2) // 4))
+        if report is not None:
+            return report
+    return midpoint_free(s, budget)
+
+
 def convexly_independent(
     vectors: Sequence[Sequence[int]], budget: int = CONVEX_BUDGET
 ) -> bool:
@@ -197,26 +300,31 @@ _dfs_masks: list[int] = [0]
 def _dfs_search(m: int, values: list[int]) -> tuple[int, int]:
     """Best size and first (lexicographically smallest) optimal mask for {1..m}.
 
-    Elements are visited in ascending order.  rev has bit w - a set for each
-    chosen a, and forb bit j - 1 set for each j = 2b - a with a < b chosen.
+    Elements are visited in ascending order, skipping those forb rules out.
+    rev has bit w - a set for each chosen a, and forb bit j - 1 set for each
+    j = 2b - a with a < b chosen.  A branch at i gains at most the optimum for
+    the m - i + 1 elements left and at most the open positions among them.
     """
     best = values[m - 1] - 1
     best_mask = 0
     w = 2 * m
+    full = (1 << m) - 1
 
     def rec(i: int, mask: int, rev: int, forb: int, size: int) -> None:
         nonlocal best, best_mask
-        if i > m:
+        # only the positions from i on that forb leaves open can still be chosen
+        open_ = (full & ~forb) >> (i - 1)
+        if not open_:
             if size > best:
                 best, best_mask = size, mask
             return
+        i += (open_ & -open_).bit_length() - 1  # skip to the first of them
         rem = m - i + 1
         ub = values[rem] if rem < m else values[m - 1] + 1
-        if size + ub <= best:
+        if size + min(ub, open_.bit_count()) <= best:
             return
-        if not (forb >> (i - 1)) & 1:
-            rec(i + 1, mask | (1 << (i - 1)), rev | (1 << (w - i)),
-                forb | (rev >> (w + 1 - 2 * i)), size + 1)
+        rec(i + 1, mask | (1 << (i - 1)), rev | (1 << (w - i)),
+            forb | (rev >> (w + 1 - 2 * i)), size + 1)
         rec(i + 1, mask, rev, forb, size)
 
     rec(1, 0, 0, 0, 0)
@@ -269,24 +377,27 @@ def _bb_search(m: int, values: list[int]) -> int:
     """Best size for {1..m}, elements visited in descending order.
 
     rev has bit w - c set for each chosen c, and forb bit j - 1 set for each
-    j = 2b - c with b < c chosen.
+    j = 2b - c with b < c chosen.  Each step goes to the largest element of
+    1..e that forb leaves open; a branch there gains at most the optimum for
+    e elements and at most the open elements of 1..e.
     """
     best = max(_bb_greedy(m), values[m - 1])
     w = 2 * m
     stack = [(m, 0, 0, 0)]
     while stack:
         e, rev, forb, size = stack.pop()
-        if e == 0:
+        allowed = ~forb & ((1 << e) - 1)  # the elements of 1..e still open
+        if not allowed:
             if size > best:
                 best = size
             continue
+        e = allowed.bit_length()  # the largest of them is the next choice
         ub = values[e] if e < m else values[m - 1] + 1
-        if size + ub <= best:
+        if size + min(ub, allowed.bit_count()) <= best:
             continue
         stack.append((e - 1, rev, forb, size))
-        if not (forb >> (e - 1)) & 1:
-            stack.append((e - 1, rev | (1 << (w - e)),
-                          forb | (rev >> (w + 1 - 2 * e)), size + 1))
+        stack.append((e - 1, rev | (1 << (w - e)),
+                      forb | (rev >> (w + 1 - 2 * e)), size + 1))
     return best
 
 

@@ -188,7 +188,8 @@ class TestVerify:
         with open(path, "w") as fh:
             APFreeSet(n=10, elements=(1, 2, 4, 5), method="external").write_json(fh)
         code, stdout, _ = run(capsys, "verify", str(path), "--budget", "2")
-        assert code == 0 and stdout.strip() == "ok size=4 pairs_checked=2"
+        assert code == 0
+        assert stdout.strip() == "ok size=4 check=midpoint pairs_checked=2"
         code, stdout, stderr = run(capsys, "verify", str(path), "--budget", "1")
         assert code == 1 and stdout == ""
         assert "2 same-parity pairs exceed the verify budget 1" in stderr
@@ -260,6 +261,15 @@ class TestVerify:
         assert run(capsys, "construct", "--method", "behrend", "--k", "4", "--y", "3",
                    "--out", str(path))[0] == 0
         assert run(capsys, "verify", str(path))[0] == 0
+
+    def test_verify_names_the_short_difference_check(self, capsys, tmp_path):
+        path = tmp_path / "shell.json"
+        run(capsys, "construct", "--method", "behrend", "--k", "4", "--y", "3",
+            "--out", str(path))
+        code, stdout, _ = run(capsys, "verify", str(path))
+        size = json.loads(path.read_text())["size"]
+        assert code == 0
+        assert stdout.strip() == f"ok size={size} check=short-difference pairs_checked=0"
 
 
 class TestSweep:

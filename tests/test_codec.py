@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ class TestAPFreeSet:
         assert "created" not in doc
         loaded = read_set(io.StringIO(text))
         assert loaded.elements == (1, 6) and loaded.n == 36
+
+    def test_read_keeps_the_recorded_parameters(self):
+        for params in (ConstructionParams(n=36, k=2, y=3),
+                       ConstructionParams(n=10**4, k=3, y=4, a=2.5, epsilon=0.3, g=2)):
+            s = APFreeSet(n=params.n, elements=(1, 6), method="elkin",
+                          params_echo=params)
+            buf = io.StringIO()
+            s.write_json(buf, reproducible=True)
+            assert read_set(io.StringIO(buf.getvalue())) == s
+
+    @pytest.mark.parametrize("k, y", [(0, 0), (3, 9), ("x", 2), (None, 2), (3, 1.5),
+                                      (10**9, 2), (10**9, 0)])
+    def test_read_ignores_missing_or_invalid_parameters(self, k, y):
+        # (3, 9) and 10**9 coordinates would need n >= (2y)^k
+        doc = {"schema": "apfree-set/1", "n": "300", "elements": ["1"], "k": k, "y": y}
+        start = time.perf_counter()
+        assert set_from_json_dict(doc).params_echo is None
+        assert time.perf_counter() - start < 1.0
 
     def test_timestamp_only_when_not_reproducible(self):
         s = APFreeSet(n=10, elements=(1, 2), method="exact")

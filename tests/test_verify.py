@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 import time
 
@@ -6,17 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apfree import verify
 from apfree.behrend import construct_behrend
-from apfree.errors import BudgetExceeded
+from apfree.codec import APFreeSet, decode, read_set
+from apfree.elkin import construct_elkin
+from apfree.errors import BudgetExceeded, DigitOutOfRange
 from apfree.lattice import ShellSelection, shell_members
-from apfree.numeric import ConstructionParams
+from apfree.numeric import ConstructionParams, resolve_params
 from apfree.verify import (
+    NU_BB_BUDGET,
+    NU_BUDGET,
     VerificationReport,
     _convexly_independent_exact,
     convexly_independent,
     exact_nu,
     exact_nu_bb,
     midpoint_free,
+    progression_free,
+    short_difference_free,
 )
 
 
@@ -155,6 +164,159 @@ class TestMidpointFree:
         assert midpoint_free(range(1, 7), budget=6).pairs_checked == 1
 
 
+def _code(point, y) -> int:
+    return sum(c * (2 * y) ** i for i, c in enumerate(point))
+
+
+@st.composite
+def cube_code_sets(draw):
+    """(codes, k, y): codes of up to 20 random points of [0, y-1]^k, k in 1..4,
+    plus up to two planted progressions a, a + t, a + 2t of points."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    y = draw(st.integers(min_value=2, max_value=6))
+    point = st.tuples(*[st.integers(min_value=0, max_value=y - 1)] * k)
+    points = draw(st.lists(point, max_size=20))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a = draw(point)
+        # a step t keeping a + 2t in the cube
+        t = [draw(st.integers(min_value=-(c // 2), max_value=(y - 1 - c) // 2))
+             for c in a]
+        points += [a, tuple(c + u for c, u in zip(a, t)),
+                   tuple(c + 2 * u for c, u in zip(a, t))]
+    return [_code(v, y) for v in points], k, y
+
+
+def _assert_valid_witness(report, elements):
+    mid, a, b = report.witness
+    assert a < mid < b and 2 * mid == a + b and {mid, a, b} <= set(elements)
+
+
+def _agree(elements, k, y):
+    """The short-difference check, at an ample budget, against midpoint_free."""
+    fast = short_difference_free(elements, k, y, budget=10**9)
+    slow = midpoint_free(elements, budget=10**9)
+    assert fast is not None and fast.check == "short-difference"
+    assert fast.ok == slow.ok
+    if not fast.ok:
+        _assert_valid_witness(fast, elements)
+    return fast
+
+
+# the acceptance suite's grid of (k, y)
+GRID = [(k, y) for k in (2, 3, 4) for y in range(2, 9)]
+
+
+def _grid_sets():
+    for k, y in GRID:
+        n = (2 * y) ** k
+        yield construct_behrend(ConstructionParams(n=n, k=k, y=y)).set
+        for g in (1, 2):
+            yield construct_elkin(ConstructionParams(n=n, k=k, y=y, g=g)).set
+
+
+class TestShortDifference:
+    @given(cube_code_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_midpoint_free(self, case):
+        elements, k, y = case
+        assert _agree(elements, k, y).ok == brute_midpoint_free(set(elements))
+
+    def test_agrees_on_every_grid_construct(self):
+        for s in _grid_sets():
+            p = s.params_echo
+            assert _agree(s.elements, p.k, p.y).ok
+            assert progression_free(s).ok
+
+    def test_agrees_on_a_corrupted_element(self):
+        # the last element moved to the midpoint of the first two whose
+        # midpoint is a cube point: off the shell or annulus, so the norms
+        # spread and the check must find that progression
+        cases = 0
+        for s in _grid_sets():
+            p = s.params_echo
+            for a, c in itertools.combinations(s.elements[:-1], 2):
+                try:
+                    decode((a + c) // 2, p.k, p.y)
+                except DigitOutOfRange:
+                    continue
+                if (a + c) % 2 == 0 and (a + c) // 2 not in s.elements:
+                    elements = sorted(s.elements[:-1] + ((a + c) // 2,))
+                    assert not _agree(elements, p.k, p.y).ok
+                    cases += 1
+                    break
+        assert cases >= 15
+
+    def test_undecodable_element_falls_back(self):
+        s = construct_behrend(ConstructionParams(n=6**3, k=3, y=3)).set
+        # digit y in the lowest place is no cube coordinate
+        bad = s.elements[:-1] + (s.elements[-1] + 3,)
+        assert short_difference_free(bad, 3, 3) is None
+        report = progression_free(APFreeSet(
+            n=s.n, elements=tuple(sorted(bad)), method="external",
+            params_echo=s.params_echo))
+        assert report.check == "midpoint"
+        assert report.ok == midpoint_free(bad).ok
+
+    def test_codes_past_the_cube_fall_back(self):
+        assert short_difference_free([1, 2, 6**3], 3, 3) is None
+        assert short_difference_free([-1, 2], 3, 3) is None
+
+    def test_no_params_falls_back(self):
+        s = APFreeSet(n=10, elements=(1, 2, 4, 5), method="external")
+        assert progression_free(s) == midpoint_free(s)
+
+    def test_witness_is_first_hit_by_difference(self):
+        # {1, 2, 3} in k = 1, y = 4: d = 1 finds 1, 2, 3
+        assert short_difference_free([1, 2, 3], 1, 4) == VerificationReport(
+            ok=False, witness=(2, 1, 3), pairs_checked=3, check="short-difference")
+
+    def test_priced_by_elements_times_differences(self):
+        # (1, 0), (0, 1), (2, 2) in k = 2, y = 5: w = 7, and 10 of the d in
+        # [-2, 2]^2 with 0 < |d|^2 <= 7 have a positive code
+        elements = [_code(v, 5) for v in ((1, 0), (0, 1), (2, 2))]
+        assert short_difference_free(elements, 2, 5, budget=30).pairs_checked == 30
+        assert short_difference_free(elements, 2, 5, budget=29) is None
+
+    def test_a_shell_tests_nothing(self):
+        s = construct_behrend(ConstructionParams(n=8**4, k=4, y=4)).set
+        report = short_difference_free(s, 4, 4)
+        assert report.ok and report.pairs_checked == 0
+
+    def test_large_difference_set_falls_back_then_refuses(self):
+        # 40,000 points of [0, 199]^2 in the cube of side 1000: |d|^2 up to
+        # 79,202 gives ~124,000 differences, over budget / |S| = 2,500, and
+        # 4e8 same-parity pairs exceed the budget as well
+        points = [(i, j) for i in range(200) for j in range(200)][1:]
+        elements = tuple(sorted(_code(v, 1000) for v in points))
+        s = APFreeSet(n=2000**2, elements=elements, method="external",
+                      params_echo=ConstructionParams(n=2000**2, k=2, y=1000))
+        start = time.perf_counter()
+        assert short_difference_free(s, 2, 1000) is None
+        with pytest.raises(BudgetExceeded, match="same-parity pairs"):
+            progression_free(s)
+        assert time.perf_counter() - start < 1.0
+
+    def test_small_set_with_wide_norms_takes_the_cheaper_check(self):
+        s = APFreeSet(n=2000**2, elements=(1, 2001, 399 * 2001),
+                      method="external",
+                      params_echo=ConstructionParams(n=2000**2, k=2, y=1000))
+        start = time.perf_counter()
+        report = progression_free(s)
+        assert time.perf_counter() - start < 1.0
+        assert report.ok and report.check == "midpoint"
+
+    def test_2_32_set_verifies_at_the_default_budget_within_a_second(self):
+        art = construct_behrend(resolve_params("behrend", 2**32))
+        buf = io.StringIO()
+        art.set.write_json(buf, reproducible=True)
+        buf.seek(0)
+        start = time.perf_counter()
+        report = progression_free(read_set(buf))
+        elapsed = time.perf_counter() - start
+        assert report.ok and report.check == "short-difference"
+        assert art.set.size == 160217 and elapsed < 1.0
+
+
 class TestConvexlyIndependent:
     def test_collinear_triple(self):
         pts = [(0, 0), (1, 1), (2, 2)]
@@ -246,6 +408,7 @@ class TestExactNu:
             assert a <= b <= a + 1
 
     def test_budget(self):
+        assert (NU_BUDGET, NU_BB_BUDGET) == (64, 120)
         with pytest.raises(BudgetExceeded):
             exact_nu(65)
         with pytest.raises(ValueError):
@@ -270,3 +433,23 @@ class TestOracleAgreement:
             artifact = construct_behrend(ConstructionParams(n=(2 * y) ** k, k=k, y=y))
             nu_value, _ = exact_nu((2 * y) ** k)
             assert artifact.set.size <= nu_value
+
+    def test_agreement_to_56_within_a_wall_clock_bound(self, monkeypatch):
+        # from empty tables, so the whole search to 56 is timed
+        monkeypatch.setattr(verify, "_dfs_values", [0])
+        monkeypatch.setattr(verify, "_dfs_masks", [0])
+        monkeypatch.setattr(verify, "_bb_values", [0])
+        start = time.perf_counter()
+        values = [exact_nu(n)[0] for n in range(1, 57)]
+        assert values == [exact_nu_bb(n) for n in range(1, 57)]
+        assert time.perf_counter() - start < 3.0
+        assert values[:48] == KNOWN_NU
+
+    def test_witnesses_to_56_are_unchanged(self):
+        # the lexicographically smallest optima for n = 1..56, as found by the
+        # search bounded by optima of shorter prefixes alone
+        witnesses = [exact_nu(n)[1].elements for n in range(1, 57)]
+        assert witnesses[55] == (1, 2, 4, 5, 10, 12, 13, 17, 31, 36, 38, 39, 43, 44,
+                                 51, 53, 54, 56)
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+            "1680ffb9ea1aa17329bb4a16cf0713f2ca7618ac73f1fe7a4a244b1897ad23c5")
