@@ -15,6 +15,7 @@ import csv
 import sys
 
 from apfree import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DegenerateParameters,
     behrend_bound,
@@ -29,7 +30,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--exponents", default="16:32:4",
                     help="lo:hi:step for n = 2^e")
-    ap.add_argument("--budget", type=int, default=10**8)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--out", help="CSV path (default stdout table)")
     args = ap.parse_args()
 

@@ -15,7 +15,7 @@ Example:
 import argparse
 import sys
 
-from apfree.lattice import discrepancy_scan, write_discrepancy_csv
+from apfree.lattice import DEFAULT_BUDGET, discrepancy_scan, write_discrepancy_csv
 
 
 def geometric_grid(t_lo: int, t_hi: int, points_per_decade: int) -> list[int]:
@@ -33,7 +33,7 @@ def main() -> int:
     ap.add_argument("--t-lo", type=int, default=100)
     ap.add_argument("--t-hi", type=int, default=10000)
     ap.add_argument("--points-per-decade", type=int, default=25)
-    ap.add_argument("--budget", type=int, default=10**8)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--out", help="CSV path for the raw records")
     args = ap.parse_args()
 

@@ -19,6 +19,7 @@ from .elkin import (
     filter_survivors,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     ApfreeError,
     BudgetExceeded,
     CoordOutOfRange,
@@ -28,7 +29,6 @@ from .errors import (
     SetFormatError,
 )
 from .lattice import (
-    DEFAULT_BUDGET,
     DiscrepancyRecord,
     ShellSelection,
     build_histogram,

@@ -130,6 +130,8 @@ def _resolve_params(args) -> ConstructionParams:
         raise ValueError("give exactly one of --n or (--k and --y)")
     if explicit and (args.k is None or args.y is None):
         raise ValueError("--k and --y must be given together")
+    if explicit:  # refuse the cube before (2y)^k is formed
+        lattice.check_enumeration_budget(args.k, args.y, args.budget)
     n = args.n if args.n is not None else (2 * args.y) ** args.k
     return numeric.resolve_params(
         args.method, n, args.k, args.y, args.a, args.epsilon, args.g
@@ -187,6 +189,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in k_range:
         for y in y_range:
+            lattice.check_enumeration_budget(k, y, args.budget)
             n = (2 * y) ** k
             params = numeric.resolve_params(
                 args.method, n, k, y, args.a, args.epsilon, args.g

@@ -175,9 +175,6 @@ def _params_from_json(doc: dict, n: int) -> ConstructionParams | None:
     knobs = doc.get("params") if isinstance(doc.get("params"), dict) else {}
     try:
         k, y = _json_int(doc.get("k")), _json_int(doc.get("y"))
-        # (2y)^k <= n needs this; test it before anything raises 2y to the k
-        if k * ((2 * y).bit_length() - 1) > n.bit_length():
-            return None
         return ConstructionParams(
             n, k, y, **{key: knobs[key] for key in ("a", "epsilon", "g")
                         if knobs.get(key) is not None},

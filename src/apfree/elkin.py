@@ -205,6 +205,8 @@ def dhat_bound_check(
     regime); otherwise, e.g. when the g >= 1 clamp is active, it is evaluated
     at the effective ratio g / k.
     """
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     enumerated = _witness_count(k, g, budget)
     eps_eff = epsilon if epsilon is not None and g <= epsilon * k else g / k
     bound = 2.0 * 2.0 ** (eta(eps_eff) * k)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one work budget."""
+
+#: Default budget of every priced stage, in the work that stage does: cube
+#: points, norm-DP cells, witness cells, certificate dot products, verify's
+#: pairs or lookups, and the convex check's pairs times points.
+DEFAULT_BUDGET = 10**8
 
 
 class ApfreeError(Exception):

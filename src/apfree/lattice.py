@@ -37,11 +37,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyWindow
+from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyWindow
 from .numeric import MomentSummary, ball_volume, int_dtype
-
-#: Default cap on the number of cube points an enumeration may touch.
-DEFAULT_BUDGET = 10**8
 
 #: Rows unraveled per scan step; measured faster than larger chunks (cache-sized).
 _CHUNK = 1 << 14
@@ -65,6 +62,9 @@ class ShellSelection:
 
 def check_enumeration_budget(k: int, y: int, budget: int) -> None:
     """Refuse an enumeration of the cube [0, y-1]^k when y^k exceeds budget."""
+    low = k * (y.bit_length() - 1)  # y^k >= 2^low, known before y^k is formed
+    if low >= budget.bit_length():
+        raise BudgetExceeded(f"y^k >= 2^{low} exceeds the enumeration budget {budget}")
     if y**k > budget:
         raise BudgetExceeded(f"y^k = {y**k} exceeds the enumeration budget {budget}")
 

@@ -149,10 +149,11 @@ class ConstructionParams:
             raise DegenerateParameters(f"k must be >= 1, got {self.k}")
         if self.y < 2:
             raise DegenerateParameters(f"y must be >= 2, got {self.y}")
-        if (2 * self.y) ** self.k > self.n:
-            raise DegenerateParameters(
-                f"(2y)^k = {(2 * self.y) ** self.k} exceeds n = {self.n}"
-            )
+        # (2y)^k >= 2^(k (bits(2y) - 1)): a huge k fails before the power is formed
+        radix = 2 * self.y
+        if (self.k * (radix.bit_length() - 1) > self.n.bit_length()
+                or radix**self.k > self.n):
+            raise DegenerateParameters(f"(2y)^k = {radix}^{self.k} exceeds n = {self.n}")
         if not 0 < self.a < math.inf:
             raise DegenerateParameters(f"a must be finite and > 0, got {self.a}")
         if not 0 < self.epsilon < math.inf:

@@ -1,12 +1,18 @@
 """Independent ground-truth checks: progression-freeness, convex position, exact optima.
 
+Each check prices the work it would do before it builds any array, against
+a budget that defaults to DEFAULT_BUDGET, the one budget of every stage.
 Every construction output must pass progression_free, the cheaper of two
 exact checks.  short_difference_free decodes a set of cube codes and looks up
 only the steps the span of its squared norms allows: none on a Behrend shell
-(0.01 s for the 160,217 elements at 2^32).  midpoint_free checks any integer
-set: priced by its same-parity pairs and refused above budget before any
-array is built, it scans them in numpy, one index offset at a time, with
-binary-search membership against the sorted set.
+(0.01 s for the 160,217 elements at 2^32); above budget it tests nothing.
+midpoint_free checks any integer set: priced by its same-parity pairs and
+refused above budget, it scans them in numpy, one index offset at a time,
+with binary-search membership against the sorted set.
+convexly_independent checks what the annulus construction rests on, that no
+point lies between two others: priced by pairs times points and refused above
+budget (586 points at the default), it tests each pair against every point
+in one numpy step.
 
 The two exact optimum searches (recursive include-first DFS and an
 explicit-stack branch-and-bound) are deliberately separate implementations
@@ -17,11 +23,12 @@ chosen a) and the mask of elements that would complete a progression with two
 chosen ones; choosing b ORs the reversed set, shifted so that bit 2m - a lands
 on element 2b - a, into that mask.
 
-Both searches exploit translation invariance: the best progression-free
-subset of any window of length L has the same size as for {1..L}, so the
-table of optima for shorter prefixes prunes the search for longer ones.  Each
-also steps straight to the next element its forbidden mask leaves open and
-bounds a branch by how many are open.
+Both searches refuse n above the same bound, NU_BUDGET, and exploit
+translation invariance: the best progression-free subset of any window of
+length L has the same size as for {1..L}, so the table of optima for shorter
+prefixes prunes the search for longer ones.  Each also steps straight to the
+next element its forbidden mask leaves open and bounds a branch by how many
+are open.
 """
 
 from __future__ import annotations
@@ -34,23 +41,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codec import APFreeSet
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .numeric import int_dtype
 
-#: exact_nu default search bound.  The table of optima up to n = 48 takes
-#: about 0.04 s, up to 56 about 0.3 s and up to 64 about 2 s (2-core Xeon VM,
-#: Python 3.11).
+#: Search bound of both exact_nu and exact_nu_bb, the n they both finish.
+#: From empty tables, the DFS takes about 0.04 s to n = 48, 0.3 s to 56 and
+#: 2-3 s to 64; the branch and bound 2.2-2.4 s to 64, 8-9 s to 68 and 33 s
+#: to 72, about x14 per 8 (2-core Xeon VM, Python 3.11).
 NU_BUDGET = 64
-
-#: exact_nu_bb default search bound (value-only search reaches farther); its
-#: table takes about 0.03 s up to n = 48 and 1.3 s up to 64 on the same VM.
-NU_BB_BUDGET = 120
-
-CONVEX_BUDGET = 2000
-
-#: Default budget of both checks, in pairs tested.  midpoint_free takes the
-#: 2^26 Behrend set (2,382,408 pairs) in 0.05 s; the 2^32 one would take 90 s.
-MIDPOINT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def _first_midpoint(arr: np.ndarray, c: np.ndarray) -> tuple[int, int] | None:
 
 
 def midpoint_free(
-    s: Iterable[int] | APFreeSet, budget: int = MIDPOINT_BUDGET
+    s: Iterable[int] | APFreeSet, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Check that no element is the average of two others.
 
@@ -169,7 +167,7 @@ def _short_differences(
 
 
 def short_difference_free(
-    s: Iterable[int] | APFreeSet, k: int, y: int, budget: int = MIDPOINT_BUDGET
+    s: Iterable[int] | APFreeSet, k: int, y: int, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport | None:
     """Exact check of a set of radix-2y codes of points of [0, y-1]^k, or None,
     having tested nothing, if an element is no such code or the check would
@@ -224,7 +222,7 @@ def short_difference_free(
 
 
 def progression_free(
-    s: APFreeSet, budget: int = MIDPOINT_BUDGET
+    s: APFreeSet, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
     """The short-difference check when s records its cube (k, y), every
     element decodes, and it tests no more pairs than budget and than the
@@ -239,54 +237,37 @@ def progression_free(
 
 
 def convexly_independent(
-    vectors: Sequence[Sequence[int]], budget: int = CONVEX_BUDGET
+    vectors: Sequence[Sequence[int]], budget: int = DEFAULT_BUDGET
 ) -> bool:
     """True iff no vector lies on the segment spanned by two others.
 
     vectors is any sequence of coordinate sequences, or an (N, k) array.
-    Exact integer arithmetic: v = u + p*(w - u) with p in (0, 1) is decided
-    by cross-multiplying the rational p, never through floats.  Duplicate
-    points count as dependent.
+    Each pair (u, w) is tested against every vector v at once: v = u + p*(w - u)
+    with p in (0, 1) is decided by cross-multiplying the rational p, in exact
+    integers, never through floats.  The price, pairs times vectors, is
+    refused above budget before any array is built.  Duplicate points count
+    as dependent.
     """
+    n = len(vectors)
+    work = n * (n - 1) // 2 * n
+    if work > budget:
+        raise BudgetExceeded(f"{work} pair-point tests exceed the budget {budget}")
     # Python ints, so the dtype bound below cannot wrap on numpy input.
     pts = [tuple(map(int, v)) for v in vectors]
-    n = len(pts)
-    if n > budget:
-        raise BudgetExceeded(f"{n} vectors exceed the brute-force budget {budget}")
-    if n < 3:
-        return len(set(pts)) == n
     if len(set(pts)) < n:
         return False
+    if n < 3:
+        return True
     # The products below stay under (2 * max|coord|)^3 * k in absolute value.
     max_abs = max(abs(c) for p in pts for c in p)
     p_arr = np.array(pts, dtype=int_dtype((2 * max_abs) ** 3 * len(pts[0])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = p_arr[j] - p_arr[i]
-            dd = int(d @ d)
-            q = p_arr - p_arr[i]
-            s = q @ d
-            candidates = np.flatnonzero((s > 0) & (s < dd))
-            for v_idx in candidates:
-                if np.array_equal(q[v_idx] * dd, s[v_idx] * d):
-                    return False
-    return True
-
-
-def _convexly_independent_exact(pts: list[tuple[int, ...]]) -> bool:
-    """Pure-Python reference for convexly_independent on distinct points."""
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = tuple(b - a for a, b in zip(pts[i], pts[j]))
-            dd = sum(c * c for c in d)
-            for v_idx in range(n):
-                if v_idx in (i, j):
-                    continue
-                q = tuple(b - a for a, b in zip(pts[i], pts[v_idx]))
-                s = sum(qc * dc for qc, dc in zip(q, d))
-                if 0 < s < dd and all(qc * dd == s * dc for qc, dc in zip(q, d)):
-                    return False
+    for i in range(n - 1):
+        q = p_arr - p_arr[i]
+        for d in q[i + 1 :]:
+            dd, s = d @ d, q @ d
+            between = (s > 0) & (s < dd)
+            if (q[between] * dd == s[between, None] * d).all(axis=1).any():
+                return False
     return True
 
 
@@ -401,7 +382,7 @@ def _bb_search(m: int, values: list[int]) -> int:
     return best
 
 
-def exact_nu_bb(n: int, budget: int = NU_BB_BUDGET) -> int:
+def exact_nu_bb(n: int, budget: int = NU_BUDGET) -> int:
     """Independent recomputation of the exact optimum; must agree with exact_nu."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -83,6 +83,14 @@ class TestConstructBehrend:
         art = construct_behrend(params_for(3, 4))
         assert convexly_independent(points_of(art))
 
+    def test_shell_near_the_convex_check_limit_within_a_wall_clock_bound(self):
+        # 525 points price about 7.2e7 of the 1e8 pair-point tests the default
+        # budget admits (585 points); about 9 s on a 2-core VM
+        art = construct_behrend(params_for(6, 5))
+        start = time.perf_counter()
+        assert convexly_independent(points_of(art))
+        assert art.set.size == 525 and time.perf_counter() - start < 30.0
+
     def test_size_guarantee(self):
         for k in (2, 3, 4):
             for y in (2, 4, 6):

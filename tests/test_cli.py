@@ -105,6 +105,20 @@ class TestConstruct:
             assert code == 1 and stdout == ""
             assert refusal in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--method", "behrend", "--k", "100000000", "--y", "2"],
+        ["construct", "--method", "elkin", "--k", "100000000", "--y", "2"],
+        ["sweep", "--method", "behrend", "--k-range", "100000000:100000000",
+         "--y-range", "2:2", "--out", "unused.csv"],
+    ])
+    def test_huge_k_is_refused_before_2y_to_the_k_is_formed(self, capsys, argv):
+        # (2y)^k would have 2e8 bits; its decimal string passes int's digit limit
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "exceeds the enumeration budget" in stderr
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["construct"])  # --method missing
@@ -368,6 +382,13 @@ class TestWitnessCount:
                                    "--budget", "1")
         assert code == 1 and stdout == ""
         assert "exceeds 1" in stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_invalid_epsilon_exits_1(self, capsys, value):
+        code, stdout, stderr = run(capsys, "witness-count", "--k", "4", "--g", "2",
+                                   "--epsilon", value)
+        assert code == 1 and stdout == ""
+        assert "epsilon must be finite and > 0" in stderr
 
     def test_large_k_is_counted_in_under_a_second(self, capsys):
         start = time.perf_counter()

@@ -19,8 +19,8 @@ from apfree.elkin import (
 )
 from apfree.errors import BudgetExceeded
 from apfree.lattice import shell_members
-from apfree.numeric import ConstructionParams, eta
-from apfree.verify import midpoint_free
+from apfree.numeric import ConstructionParams, eta, resolve_params
+from apfree.verify import convexly_independent, midpoint_free
 
 
 def params_for(k, y, g):
@@ -184,6 +184,19 @@ class TestConstructElkin:
         for v in survivors_of(art).tolist():
             assert all(c >= 2 for c in v)
             assert not has_witness_brute(v, 2, 1)
+
+    def test_survivors_are_convexly_independent(self):
+        # The lemma the construction rests on: a point without a certificate
+        # is an extreme point of the ball, so none lies between two others.
+        # The 2^28 reference run, then small g = 1 cubes with survivors.
+        cases = [resolve_params("elkin", 2**28)]
+        cases += [params_for(k, y, 1) for k, y in [(3, 10), (4, 8), (5, 6), (6, 6)]]
+        sizes = []
+        for params in cases:
+            art = construct_elkin(params)
+            sizes.append(art.set.size)
+            assert convexly_independent(survivors_of(art))
+        assert sizes == [56, 15, 24, 30, 60]
 
     def test_small_y_always_empties(self):
         # every coordinate is <= y-1 <= g, so +-e_i certificates hit all points

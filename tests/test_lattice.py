@@ -20,6 +20,7 @@ from apfree.lattice import (
     annulus_count,
     build_histogram,
     capped_ball_volume,
+    check_enumeration_budget,
     count_capped_ball,
     discrepancy_scan,
     select_behrend_shell,
@@ -436,6 +437,18 @@ def scans(draw):
     top = k * (y - 1) ** 2
     ends = st.integers(min_value=-3, max_value=top + 3)
     return k, y, draw(st.integers(min_value=0, max_value=y + 2)), draw(ends), draw(ends)
+
+
+class TestEnumerationBudget:
+    @given(st.integers(1, 200), st.integers(1, 10**4), st.integers(1, 10**12))
+    @example(8, 10, 10**8)
+    @example(27, 2, 10**8)
+    def test_refuses_exactly_when_y_to_the_k_exceeds_budget(self, k, y, budget):
+        if y**k > budget:
+            with pytest.raises(BudgetExceeded, match="enumeration budget"):
+                check_enumeration_budget(k, y, budget)
+        else:
+            check_enumeration_budget(k, y, budget)
 
 
 class TestShellMembers:

@@ -194,6 +194,12 @@ class TestConstructionParams:
         with pytest.raises(DegenerateParameters):
             ConstructionParams(n=35, k=2, y=3)
 
+    def test_rejects_huge_k_from_bit_lengths(self):
+        # (2y)^k would have 2e8 bits; the message names its base and exponent
+        with pytest.raises(DegenerateParameters, match=r"\(2y\)\^k = 4\^100000000 exceeds"):
+            ConstructionParams(n=2**40, k=10**8, y=2)
+        assert ConstructionParams(n=4**20, k=20, y=2).n_effective == 4**20
+
     def test_rejects_small_y(self):
         with pytest.raises(DegenerateParameters):
             ConstructionParams(n=100, k=2, y=1)

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from apfree import verify
 from apfree.behrend import construct_behrend
-from apfree.codec import APFreeSet, decode, read_set
+from apfree.codec import APFreeSet, decode, decode_all, read_set
 from apfree.elkin import construct_elkin
 from apfree.errors import BudgetExceeded, DigitOutOfRange
 from apfree.lattice import ShellSelection, shell_members
 from apfree.numeric import ConstructionParams, resolve_params
 from apfree.verify import (
-    NU_BB_BUDGET,
     NU_BUDGET,
     VerificationReport,
-    _convexly_independent_exact,
     convexly_independent,
     exact_nu,
     exact_nu_bb,
@@ -27,6 +25,23 @@ from apfree.verify import (
     progression_free,
     short_difference_free,
 )
+
+
+def _convexly_independent_exact(pts: list[tuple[int, ...]]) -> bool:
+    """Pure-Python reference for convexly_independent on distinct points."""
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = tuple(b - a for a, b in zip(pts[i], pts[j]))
+            dd = sum(c * c for c in d)
+            for v_idx in range(n):
+                if v_idx in (i, j):
+                    continue
+                q = tuple(b - a for a, b in zip(pts[i], pts[v_idx]))
+                s = sum(qc * dc for qc, dc in zip(q, d))
+                if 0 < s < dd and all(qc * dd == s * dc for qc, dc in zip(q, d)):
+                    return False
+    return True
 
 
 def _fits_int64(pts) -> bool:
@@ -352,6 +367,22 @@ class TestConvexlyIndependent:
         with pytest.raises(BudgetExceeded):
             convexly_independent(pts, budget=5)
 
+    def test_250_shell_points_in_under_3_s(self):
+        art = construct_behrend(ConstructionParams(n=16**6, k=6, y=8))
+        pts = decode_all(art.set.elements, 6, 8)[:250]
+        start = time.perf_counter()
+        assert convexly_independent(pts)
+        assert time.perf_counter() - start < 3.0
+
+    def test_default_budget_refuses_one_point_past_its_limit_at_once(self):
+        # 585 points price C(585, 2) * 585 = 99,929,700 pair-point tests and 586
+        # price 100,443,330; duplicates end the admitted call before any pair
+        start = time.perf_counter()
+        assert not convexly_independent([(0, 0)] * 585)
+        with pytest.raises(BudgetExceeded, match="100443330 pair-point tests"):
+            convexly_independent([(0, 0)] * 586)
+        assert time.perf_counter() - start < 0.1
+
     @given(point_lists())
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_exact_oracle(self, pts):
@@ -408,7 +439,7 @@ class TestExactNu:
             assert a <= b <= a + 1
 
     def test_budget(self):
-        assert (NU_BUDGET, NU_BB_BUDGET) == (64, 120)
+        assert NU_BUDGET == 64
         with pytest.raises(BudgetExceeded):
             exact_nu(65)
         with pytest.raises(ValueError):
@@ -426,7 +457,7 @@ class TestOracleAgreement:
 
     def test_bb_budget(self):
         with pytest.raises(BudgetExceeded):
-            exact_nu_bb(121)
+            exact_nu_bb(NU_BUDGET + 1)
 
     def test_construction_never_beats_optimum(self):
         for k, y in [(1, 2), (2, 2), (2, 3)]:
