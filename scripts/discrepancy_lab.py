@@ -13,14 +13,13 @@ Example:
 """
 
 import argparse
+import math
 import sys
 
 from apfree.lattice import DEFAULT_BUDGET, discrepancy_scan, write_discrepancy_csv
 
 
 def geometric_grid(t_lo: int, t_hi: int, points_per_decade: int) -> list[int]:
-    import math
-
     decades = math.log10(t_hi / t_lo)
     n = max(2, round(points_per_decade * decades) + 1)
     grid = sorted({round(t_lo * (t_hi / t_lo) ** (j / (n - 1))) for j in range(n)})

@@ -48,7 +48,6 @@ from .numeric import (
     elkin_bound,
     eta,
     exact_moments,
-    gamma_half_integer,
 )
 from .verify import (
     VerificationReport,
@@ -98,7 +97,6 @@ __all__ = [
     "exact_nu",
     "exact_nu_bb",
     "filter_survivors",
-    "gamma_half_integer",
     "midpoint_free",
     "progression_free",
     "read_set",

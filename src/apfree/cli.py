@@ -12,7 +12,7 @@ import csv
 import sys
 
 from . import behrend, elkin, lattice, numeric, verify as verify_mod
-from .codec import APFreeSet, read_set
+from .codec import read_set
 from .errors import ApfreeError, SetFormatError
 from .numeric import ConstructionParams
 
@@ -128,31 +128,20 @@ def _resolve_params(args) -> ConstructionParams:
     explicit = args.k is not None or args.y is not None
     if (args.n is None) == (not explicit):
         raise ValueError("give exactly one of --n or (--k and --y)")
-    if explicit and (args.k is None or args.y is None):
+    if not explicit:
+        return numeric.resolve_params(args.method, args.n, a=args.a,
+                                      epsilon=args.epsilon, g=args.g)
+    if args.k is None or args.y is None:
         raise ValueError("--k and --y must be given together")
-    if explicit:  # refuse the cube before (2y)^k is formed
-        lattice.check_enumeration_budget(args.k, args.y, args.budget)
-    n = args.n if args.n is not None else (2 * args.y) ** args.k
+    return _cube_params(args, args.k, args.y)
+
+
+def _cube_params(args, k: int, y: int) -> ConstructionParams:
+    """The parameters of the cube [0, y-1]^k with n = (2y)^k, refused by the
+    enumeration budget before (2y)^k is formed."""
+    lattice.check_enumeration_budget(k, y, args.budget)
     return numeric.resolve_params(
-        args.method, n, args.k, args.y, args.a, args.epsilon, args.g
-    )
-
-
-def _write_set(apset: APFreeSet, args) -> None:
-    if not args.out:
-        return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        if args.format == "json":
-            apset.write_json(fh, reproducible=args.reproducible)
-        else:
-            apset.write_csv(fh)
-
-
-def _summary_line(method: str, params: ConstructionParams, shell, apset) -> str:
-    return (
-        f"method={method} n={params.n} k={params.k} y={params.y} "
-        f"shell=[{shell.t_low},{shell.t_high}] size={apset.size} "
-        f"density={apset.density}"
+        args.method, (2 * y) ** k, k, y, args.a, args.epsilon, args.g
     )
 
 
@@ -162,8 +151,16 @@ _CONSTRUCT = {"behrend": behrend.construct_behrend, "elkin": elkin.construct_elk
 def cmd_construct(args) -> int:
     params = _resolve_params(args)
     artifact = _CONSTRUCT[args.method](params, budget=args.budget)
-    _write_set(artifact.set, args)
-    print(_summary_line(args.method, params, artifact.shell, artifact.set))
+    apset, shell = artifact.set, artifact.shell
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            if args.format == "json":
+                apset.write_json(fh, reproducible=args.reproducible)
+            else:
+                apset.write_csv(fh)
+    print(f"method={args.method} n={params.n} k={params.k} y={params.y} "
+          f"shell=[{shell.t_low},{shell.t_high}] size={apset.size} "
+          f"density={apset.density}")
     if args.method == "elkin" and artifact.is_empty:
         print("empty result: the certificate filter removed every annulus point",
               file=sys.stderr)
@@ -189,11 +186,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in k_range:
         for y in y_range:
-            lattice.check_enumeration_budget(k, y, args.budget)
-            n = (2 * y) ** k
-            params = numeric.resolve_params(
-                args.method, n, k, y, args.a, args.epsilon, args.g
-            )
+            params = _cube_params(args, k, y)
+            n = params.n
             art = _CONSTRUCT[args.method](params, budget=args.budget)
             fraction = art.survivor_fraction if args.method == "elkin" else ""
             rows.append([
@@ -221,17 +215,22 @@ def cmd_nu(args) -> int:
     return EXIT_DISAGREE
 
 
+def _write_csv(path: str | None, write, data) -> None:
+    """write(data, fh) into the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(data, fh)
+    else:
+        write(data, sys.stdout)
+
+
 def cmd_discrepancy(args) -> int:
     grid = list(range(args.t_step, args.t_max + 1, args.t_step))
     if not grid:
         raise ValueError(f"empty t grid: --t-max {args.t_max} is below "
                          f"--t-step {args.t_step}")
     records = lattice.discrepancy_scan(args.k, grid, args.m, budget=args.budget)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            lattice.write_discrepancy_csv(records, fh)
-    else:
-        lattice.write_discrepancy_csv(records, sys.stdout)
+    _write_csv(args.out, lattice.write_discrepancy_csv, records)
     return EXIT_OK
 
 
@@ -244,11 +243,7 @@ def cmd_witness_count(args) -> int:
 
 def cmd_histogram(args) -> int:
     hist = lattice.build_histogram(args.k, args.y, budget=args.budget)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            lattice.write_histogram_csv(hist, fh)
-    else:
-        lattice.write_histogram_csv(hist, sys.stdout)
+    _write_csv(args.out, lattice.write_histogram_csv, hist)
     return EXIT_OK
 
 

@@ -69,25 +69,38 @@ def check_enumeration_budget(k: int, y: int, budget: int) -> None:
         raise BudgetExceeded(f"y^k = {y**k} exceeds the enumeration budget {budget}")
 
 
+#: Norm-DP cells one round's fixed cost is priced as: a round (an array copy
+#: and its slice-adds) takes 3-5 us however few cells it touches, and an int64
+#: cell about 1.0-1.4 ns (histogram --k 2 --y 400); 2-core Xeon VM, Python 3.11.
+_ROUND_CELLS = 2500
+
+
 def _norm_counts(
-    length: int, top: int, weights: Sequence[int], bound: int, budget: int
+    length: int, top: int, rounds: int, two_sided: int, budget: int
 ) -> np.ndarray:
     """h[s] = vectors of squared norm s, for s < length.
 
-    One shift-add round per coordinate; weight w means the coordinate takes 0
-    once and each of 1..top w times (w=1: [0, top], w=2: [-top, top]).  Counts
-    are int64 when bound < 2^62, Python ints (object dtype) otherwise.  Before
-    round j, h is zero above j * top^2, so that round reads only h[:reach_j].
-    Each round also copies all length cells, so the work sum(reach_j) * top
-    + rounds * length is checked before anything is allocated.
+    One shift-add round per coordinate: the first rounds - two_sided
+    coordinates take 0..top, the last two_sided take -top..top (weight 2 on
+    1..top).  Counts are int64 while the number of vectors is below 2^62,
+    Python ints (object dtype) otherwise.  Before round j, h is zero above
+    j * top^2, so that round reads only h[:reach_j].  A round also copies all
+    length cells and costs _ROUND_CELLS more: the work sum(reach_j) * top +
+    rounds * (length + _ROUND_CELLS) is checked, in closed form, first.
     """
-    reach = [min(j * top * top + 1, length) for j in range(len(weights))]
-    work = sum(reach) * top + len(weights) * length
+    sq_top = top * top
+    # reach_j = j * sq_top + 1 for the first `short` rounds, length after them
+    short = rounds if sq_top == 0 else min(rounds, (length - 1) // sq_top + 1)
+    reach_sum = short + sq_top * short * (short - 1) // 2 + (rounds - short) * length
+    work = reach_sum * top + rounds * (length + _ROUND_CELLS)
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
-    h = np.zeros(length, dtype=int_dtype(bound))
+    vectors = (top + 1) ** (rounds - two_sided) * (2 * top + 1) ** two_sided
+    h = np.zeros(length, dtype=int_dtype(vectors))
     h[0] = 1
-    for w, r in zip(weights, reach):
+    for j in range(rounds):
+        w = 1 if j < rounds - two_sided else 2
+        r = min(j * sq_top + 1, length)
         new = h.copy()
         for a in range(1, top + 1):
             sq = a * a
@@ -105,7 +118,7 @@ def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """
     if k < 1 or y < 1:
         raise ValueError(f"need k >= 1 and y >= 1, got k={k}, y={y}")
-    return _norm_counts(k * (y - 1) ** 2 + 1, y - 1, [1] * k, y**k, budget)
+    return _norm_counts(k * (y - 1) ** 2 + 1, y - 1, k, 0, budget)
 
 
 def write_histogram_csv(counts: np.ndarray, fh: IO[str]) -> None:
@@ -283,10 +296,7 @@ def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:
         raise ValueError(f"t must be >= 0, got {t}")
     if not 1 <= m <= k + 1:
         raise ValueError(f"m must be in [1, {k + 1}], got {m}")
-    n_constrained = k - m + 1
-    root = math.isqrt(t)
-    weights = [1] * n_constrained + [2] * (k - n_constrained)
-    return np.cumsum(_norm_counts(t + 1, root, weights, (2 * root + 1) ** k, budget))
+    return np.cumsum(_norm_counts(t + 1, math.isqrt(t), k, m - 1, budget))
 
 
 def count_capped_ball(k: int, t: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -336,11 +346,19 @@ def discrepancy_scan(
         raise ValueError("every t in the grid must be >= 1")
     if not t_grid:
         return []
-    table = _capped_counts_table(k, max(t_grid), m, budget)
+    t_max = max(t_grid)
     # Each coefficient once per scan: the cap divides by a power of two, which
     # commutes with rounding, so unit * t^(k/2) is capped_ball_volume(k, t, m)
-    # bit for bit.
-    unit, unit_ref = capped_ball_volume(k, 1, m), capped_ball_volume(k - 2, 1, m)
+    # bit for bit.  Both volumes grow with t: finite at t_max, checked before
+    # the DP runs, they are finite throughout.
+    try:
+        unit, unit_ref = capped_ball_volume(k, 1, m), capped_ball_volume(k - 2, 1, m)
+        tops = unit * t_max ** (k / 2), unit_ref * t_max ** ((k - 2) / 2)
+    except OverflowError:
+        tops = (math.inf,)
+    if not all(map(math.isfinite, tops)):
+        raise ValueError(f"ball volumes at k = {k}, t <= {t_max} overflow floats")
+    table = _capped_counts_table(k, t_max, m, budget)
     return [
         DiscrepancyRecord(k=k, t=t, m=m, count_exact=int(table[t]),
                           volume=unit * t ** (k / 2),

@@ -1,7 +1,7 @@
 """Exact and floating-point numerics behind the constructions.
 
-Everything that is a closed formula lives here: half-integer Gamma values,
-ball volumes, the exact first two moments of the squared norm of a uniform
+Everything that is a closed formula lives here: ball volumes with an exact
+Gamma factor, the exact first two moments of the squared norm of a uniform
 random cube vector, the witness-count exponent eta(epsilon), the classical
 and improved density comparators, and a run's parameters: (k, y) derived
 from a target interval bound n, and the knobs resolved once for both methods.
@@ -18,6 +18,7 @@ var_Z = k*(E[Y^4] - E[Y^2]^2) exactly.  Logarithms are base 2 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,52 +40,25 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-@dataclass(frozen=True)
-class ExactGamma:
-    """Gamma value at an integer or half-integer point: rational * sqrt(pi)^s."""
-
-    rational: Fraction
-    sqrt_pi: bool
-
-    @property
-    def value(self) -> float:
-        v = float(self.rational)
-        return v * math.sqrt(math.pi) if self.sqrt_pi else v
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def gamma_half_integer(twice_n: int) -> ExactGamma:
-    """Gamma(twice_n / 2), exact.
-
-    Integer arguments give (m-1)!; half-integer arguments m + 1/2 give
-    (2m)! sqrt(pi) / (2^(2m) m!), returned as a rational multiple of sqrt(pi).
-    """
-    if twice_n <= 0:
-        raise ValueError(f"gamma argument must be positive, got {twice_n}/2")
-    if twice_n % 2 == 0:
-        m = twice_n // 2
-        return ExactGamma(Fraction(math.factorial(m - 1)), sqrt_pi=False)
-    m = (twice_n - 1) // 2
-    coeff = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-    return ExactGamma(coeff, sqrt_pi=True)
-
-
 def ball_volume(ell: int, radius_sq: float) -> float:
     """Volume of the ell-dimensional ball with squared radius radius_sq.
 
     beta_ell * radius_sq^(ell/2) with beta_ell = pi^(ell/2) / Gamma(ell/2 + 1).
+    For h = ell // 2, Gamma(ell/2 + 1) is h! for even ell and, for odd ell,
+    (2h+2)! / (4^(h+1) (h+1)!) times a sqrt(pi) that cancels exactly.  From
+    ell = 342 on, Gamma(ell/2 + 1) >= 171! is past the float range: that
+    OverflowError is raised from lgamma, before any factorial is formed.
     """
     if ell < 1:
         raise ValueError(f"dimension must be >= 1, got {ell}")
     if radius_sq < 0:
         raise ValueError(f"squared radius must be >= 0, got {radius_sq}")
-    gamma = gamma_half_integer(ell + 2)
-    # Cancel the sqrt(pi) of half-integer Gamma against pi^(ell/2) exactly.
-    pi_power = ell / 2 - (0.5 if gamma.sqrt_pi else 0.0)
-    beta = math.pi**pi_power / float(gamma.rational)
-    return beta * radius_sq ** (ell / 2)
+    if math.lgamma(ell / 2 + 1) - 1 > math.log(sys.float_info.max):  # e > sqrt(pi)
+        raise OverflowError(f"Gamma({ell}/2 + 1) exceeds the float range")
+    h = ell // 2
+    gamma = (Fraction(math.factorial(2 * h + 2), 4 ** (h + 1) * math.factorial(h + 1))
+             if ell % 2 else math.factorial(h))
+    return math.pi**h / float(gamma) * radius_sq ** (ell / 2)
 
 
 @dataclass(frozen=True)

@@ -312,14 +312,6 @@ def _dfs_search(m: int, values: list[int]) -> tuple[int, int]:
     return best, best_mask
 
 
-def _dfs_extend(n: int) -> None:
-    while len(_dfs_values) <= n:
-        m = len(_dfs_values)
-        value, mask = _dfs_search(m, _dfs_values)
-        _dfs_values.append(value)
-        _dfs_masks.append(mask)
-
-
 def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
     """Largest progression-free subset size of {1..n}, with an attaining set.
 
@@ -331,27 +323,19 @@ def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > budget:
         raise BudgetExceeded(f"n = {n} exceeds the search budget {budget}")
-    _dfs_extend(n)
+    while len(_dfs_values) <= n:
+        value, mask = _dfs_search(len(_dfs_values), _dfs_values)
+        _dfs_values.append(value)
+        _dfs_masks.append(mask)
     mask = _dfs_masks[n]
     elements = tuple(i + 1 for i in range(n) if (mask >> i) & 1)
     return _dfs_values[n], APFreeSet(n=n, elements=elements, method="exact")
 
 
 # ---------------------------------------------------------------------------
-# Oracle 2: explicit-stack branch and bound, descending order, greedy seed.
+# Oracle 2: explicit-stack branch and bound, descending order.
 
 _bb_values: list[int] = [0]
-
-
-def _bb_greedy(m: int) -> int:
-    w = 2 * m
-    rev = forb = size = 0
-    for e in range(m, 0, -1):
-        if not (forb >> (e - 1)) & 1:
-            forb |= rev >> (w + 1 - 2 * e)
-            rev |= 1 << (w - e)
-            size += 1
-    return size
 
 
 def _bb_search(m: int, values: list[int]) -> int:
@@ -360,9 +344,10 @@ def _bb_search(m: int, values: list[int]) -> int:
     rev has bit w - c set for each chosen c, and forb bit j - 1 set for each
     j = 2b - c with b < c chosen.  Each step goes to the largest element of
     1..e that forb leaves open; a branch there gains at most the optimum for
-    e elements and at most the open elements of 1..e.
+    e elements and at most the open elements of 1..e.  The search starts from
+    the optimum for m - 1 elements, which {1..m} always attains.
     """
-    best = max(_bb_greedy(m), values[m - 1])
+    best = values[m - 1]
     w = 2 * m
     stack = [(m, 0, 0, 0)]
     while stack:

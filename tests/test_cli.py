@@ -369,6 +369,18 @@ class TestDiscrepancy:
         assert code == 0
         assert len(out.read_text().splitlines()) == 11
 
+    @pytest.mark.parametrize("argv", [
+        ("--k", "400", "--t-max", "1", "--m", "1"),  # Gamma(201) passes the float range
+        ("--k", "200", "--t-max", "2000", "--t-step", "2000", "--m", "1"),  # t^(k/2)
+        ("--k", "10000000", "--t-max", "1", "--m", "1"),  # a factorial would take minutes
+    ])
+    def test_volumes_past_the_float_range_exit_1_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "discrepancy", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "overflow floats" in stderr
+
 
 class TestWitnessCount:
     def test_output(self, capsys):
@@ -398,6 +410,14 @@ class TestWitnessCount:
         fields = dict(part.split("=") for part in stdout.split())
         assert fields["dhat"] == "14403447950873280"
 
+    def test_huge_k_is_refused_by_its_rounds_at_once(self, capsys):
+        # about 4e7 cells, but 10^7 rounds of a few microseconds each
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "witness-count", "--k", "10000000", "--g", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "norm-count work" in stderr
+
 
 class TestHistogram:
     def test_stdout_csv(self, capsys):
@@ -420,6 +440,13 @@ class TestHistogram:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--budget: expected a positive integer, got '-1'" in captured.err
+
+    def test_huge_k_is_refused_before_its_lists_are_built(self, capsys):
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "histogram", "--k", "10000000", "--y", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "norm-count work" in stderr
 
 
 class TestDeterminism:

@@ -107,10 +107,11 @@ class TestEnumerateWitnesses:
             enumerate_witnesses(200, 8, budget=10**4)
 
     def test_budget_is_checked_against_the_exact_count(self):
-        # k=4, g=2 has 32 witnesses; the walk is priced at (32 + 1) * 3 * 4 cells
-        assert len(enumerate_witnesses(4, 2, budget=396)) == 32
-        with pytest.raises(BudgetExceeded, match="396 cells for 32 witnesses"):
-            enumerate_witnesses(4, 2, budget=395)
+        # k=10, g=3 has 1,160 witnesses; the walk is priced at (1160 + 1) * 3 * 10
+        # cells, above the 25,074 of the count DP that prices it
+        assert len(enumerate_witnesses(10, 3, budget=34830)) == 1160
+        with pytest.raises(BudgetExceeded, match="34830 cells for 1160 witnesses"):
+            enumerate_witnesses(10, 3, budget=34829)
 
     def test_walk_memory_is_refused_before_the_walk(self):
         # 43.1M witnesses pass a count check at the default budget, but the
@@ -419,10 +420,11 @@ class TestDhatBoundCheck:
         with pytest.raises(BudgetExceeded):
             dhat_bound_check(4, 2, budget=1)
         # the count DP for k=4, g=2 reads 1 + 2 + 3 + 3 cells (round j reads
-        # the min(j + 1, g + 1) reachable norms) and copies k * (g+1) = 12: 21
-        assert dhat_bound_check(4, 2, budget=21).enumerated == 32
+        # the min(j + 1, g + 1) reachable norms), copies k * (g+1) = 12 and
+        # is charged k * 2500 for its rounds: 10,021
+        assert dhat_bound_check(4, 2, budget=10021).enumerated == 32
         with pytest.raises(BudgetExceeded):
-            dhat_bound_check(4, 2, budget=20)
+            dhat_bound_check(4, 2, budget=10020)
 
     def test_large_k_is_counted_not_enumerated(self, monkeypatch):
         def tripwire(*args):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apfree import lattice
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
     ShellSelection,
@@ -156,6 +157,23 @@ class TestBuildHistogram:
             with pytest.raises(BudgetExceeded):
                 build_histogram(k, y)
             assert time.perf_counter() - start < 1.0
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_price_is_the_sum_over_rounds(self, length, top, rounds, data):
+        top = min(top, math.isqrt(length - 1))
+        two_sided = data.draw(st.integers(min_value=0, max_value=rounds))
+        reach = [min(j * top * top + 1, length) for j in range(rounds)]
+        work = sum(reach) * top + rounds * (length + lattice._ROUND_CELLS)
+        h = lattice._norm_counts(length, top, rounds, two_sided, work)
+        assert h.sum() == sum(
+            1 for v in itertools.product(range(-top, top + 1), repeat=rounds)
+            if all(c >= 0 for c in v[: rounds - two_sided])
+            and sum(c * c for c in v) < length
+        )
+        with pytest.raises(BudgetExceeded, match=f"~{work} exceeds"):
+            lattice._norm_counts(length, top, rounds, two_sided, work - 1)
 
     def test_counts_beyond_int64(self):
         hist = build_histogram(30, 5, budget=10**22)
@@ -616,6 +634,15 @@ class TestDiscrepancyScan:
         (rec,) = discrepancy_scan(3, [100], 4)
         assert rec.count_exact == brute_capped_count(3, 100, 4)
         assert rec.volume == pytest.approx(4 * math.pi / 3 * 1000, rel=1e-12)
+
+    def test_volumes_past_the_float_range_are_refused_before_the_dp(self, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("the count DP ran")
+
+        monkeypatch.setattr(lattice, "_capped_counts_table", tripwire)
+        for k, t in [(400, 1), (342, 1), (200, 2000), (10**7, 1)]:
+            with pytest.raises(ValueError, match="overflow floats"):
+                discrepancy_scan(k, [t], 1)
 
     def test_volume_halves_per_constraint(self):
         assert capped_ball_volume(3, 100.0, 1) == pytest.approx(

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,44 +20,7 @@ from apfree.numeric import (
     eta,
     exact_moments,
     feasibility_gap,
-    gamma_half_integer,
 )
-
-SQRT_PI = math.sqrt(math.pi)
-
-
-class TestGammaHalfInteger:
-    def test_three_halves(self):
-        g = gamma_half_integer(3)
-        assert g.rational == Fraction(1, 2) and g.sqrt_pi
-        assert g.value == pytest.approx(SQRT_PI / 2, rel=1e-15)
-
-    def test_one(self):
-        g = gamma_half_integer(2)
-        assert g.rational == 1 and not g.sqrt_pi
-        assert float(g) == 1.0
-
-    def test_seven_halves(self):
-        # (5/2)(3/2)(1/2) sqrt(pi) = 15 sqrt(pi) / 8
-        g = gamma_half_integer(7)
-        assert g.rational == Fraction(15, 8) and g.sqrt_pi
-
-    def test_integer_points_are_factorials(self):
-        for m in range(1, 12):
-            assert gamma_half_integer(2 * m).rational == math.factorial(m - 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_half_integer(0)
-        with pytest.raises(ValueError):
-            gamma_half_integer(-3)
-
-    @given(st.integers(min_value=1, max_value=120))
-    def test_matches_float_gamma(self, twice_n):
-        assert gamma_half_integer(twice_n).value == pytest.approx(
-            math.gamma(twice_n / 2), rel=1e-12
-        )
-
 
 class TestBallVolume:
     def test_disc(self):
@@ -70,6 +35,34 @@ class TestBallVolume:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             ball_volume(0, 1.0)
+
+    @given(st.integers(min_value=1, max_value=170))
+    def test_matches_float_gamma(self, ell):
+        assert ball_volume(ell, 1.0) == pytest.approx(
+            math.pi ** (ell / 2) / math.gamma(ell / 2 + 1), rel=1e-12
+        )
+
+    def test_floats_are_pinned_to_ell_341(self):
+        # sha256 of the values (or OverflowError from radius_sq^(ell/2)) taken
+        # from the exact-Gamma-type implementation this one replaced
+        parts = []
+        for ell in range(1, 342):
+            for radius_sq in (0, 0.25, 1, 2, 3.5, 10, 17, 100.5, 1234):
+                try:
+                    parts.append(repr(ball_volume(ell, radius_sq)))
+                except OverflowError:
+                    parts.append("OverflowError")
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == (
+            "7730d41e09ab24cf067a24b4e2d9863c2fb73e95dfc18d5abb36e85108ee45ff"
+        )
+
+    def test_gamma_past_the_float_range_is_refused_before_any_factorial(self):
+        # Gamma(172) = 171! > float max; at 10^7 the factorial would take minutes
+        for ell in (342, 400, 10**7):
+            start = time.perf_counter()
+            with pytest.raises(OverflowError):
+                ball_volume(ell, 1.0)
+            assert time.perf_counter() - start < 0.1
 
     def test_dimension_ratio_scales_like_sqrt_t_over_ell(self):
         # beta_ell / beta_(ell-1) shrinks like 1/sqrt(ell).
