@@ -217,8 +217,6 @@ def select_elkin_annulus(
     remainder (at most g+1 norms).  Ties break toward the smallest t_low.
     The pigeonhole floor is ceil((3/4) * y^k / ell).
     """
-    if g < 1:
-        raise ValueError(f"g must be >= 1, got {g}")
     lo, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
     ell = annulus_count(moments, g)
     starts = np.arange(lo, hi + 1, g)[:ell]
@@ -246,11 +244,6 @@ def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:
     return coords
 
 
-def _coords_of_range(start: int, stop: int, k: int, y: int) -> np.ndarray:
-    """Cube points with lexicographic ranks in [start, stop), as an array."""
-    return _unravel(np.arange(start, stop, dtype=np.int64), k, y)
-
-
 def shell_points(
     k: int, y: int, shell: ShellSelection, budget: int = DEFAULT_BUDGET, low: int = 0
 ) -> np.ndarray:
@@ -271,7 +264,8 @@ def shell_points(
     # Keep 1-D ranks per chunk, not rows: many small row blocks fragment the heap.
     kept = [np.empty(0, dtype=np.int64)]
     for start in range(0, stop, _CHUNK):
-        coords = _coords_of_range(start, min(start + _CHUNK, stop), k, side)
+        coords = _unravel(np.arange(start, min(start + _CHUNK, stop), dtype=np.int64),
+                          k, side)
         if low:
             coords += low
         norms = np.einsum("ij,ij->i", coords, coords)
@@ -347,13 +341,18 @@ def discrepancy_scan(
     if not t_grid:
         return []
     t_max = max(t_grid)
-    # Each coefficient once per scan: the cap divides by a power of two, which
-    # commutes with rounding, so unit * t^(k/2) is capped_ball_volume(k, t, m)
+    # capped_ball_volume(ell, t, m) is beta_ell * t^(ell/2) / 2^halves, in that
+    # order: dividing first would round a subnormal coefficient.  Taking
+    # beta_ell and 2^halves once per scan keeps every volume below equal to it
     # bit for bit.  Both volumes grow with t: finite at t_max, checked before
     # the DP runs, they are finite throughout.
     try:
-        unit, unit_ref = capped_ball_volume(k, 1, m), capped_ball_volume(k - 2, 1, m)
-        tops = unit * t_max ** (k / 2), unit_ref * t_max ** ((k - 2) / 2)
+        (beta, cap), (beta_ref, cap_ref) = (
+            (ball_volume(ell, 1), 2.0 ** max(ell - m + 1, 0)) if ell else (1.0, 1.0)
+            for ell in (k, k - 2)
+        )
+        tops = (beta * t_max ** (k / 2) / cap,
+                beta_ref * t_max ** ((k - 2) / 2) / cap_ref)
     except OverflowError:
         tops = (math.inf,)
     if not all(map(math.isfinite, tops)):
@@ -361,7 +360,7 @@ def discrepancy_scan(
     table = _capped_counts_table(k, t_max, m, budget)
     return [
         DiscrepancyRecord(k=k, t=t, m=m, count_exact=int(table[t]),
-                          volume=unit * t ** (k / 2),
-                          reference_volume=unit_ref * t ** ((k - 2) / 2))
+                          volume=beta * t ** (k / 2) / cap,
+                          reference_volume=beta_ref * t ** ((k - 2) / 2) / cap_ref)
         for t in t_grid
     ]

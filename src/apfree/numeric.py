@@ -159,11 +159,7 @@ class ConstructionParams:
 
 
 def _integer_kth_root(n: int, k: int) -> int:
-    """Largest r >= 0 with r^k <= n, exact for arbitrary-precision n."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if k == 1 or n == 0:
-        return n
+    """Largest r >= 0 with r^k <= n, exact for arbitrary-precision n >= 2, k >= 2."""
     lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
     while lo < hi - 1:
         mid = (lo + hi) // 2

@@ -7,7 +7,7 @@ exact checks.  short_difference_free decodes a set of cube codes and looks up
 only the steps the span of its squared norms allows: none on a Behrend shell
 (0.01 s for the 160,217 elements at 2^32); above budget it tests nothing.
 midpoint_free checks any integer set: priced by its same-parity pairs and
-refused above budget, it scans them in numpy, one index offset at a time,
+refused above budget, it scans them in numpy one element's row at a time,
 with binary-search membership against the sorted set.
 convexly_independent checks what the annulus construction rests on, that no
 point lies between two others: priced by pairs times points and refused above
@@ -77,30 +77,6 @@ def _elements_of(s) -> tuple[int, ...]:
     return tuple(sorted(set(map(int, elements))))
 
 
-def _pairs_in_rows(rows: int, size: int) -> int:
-    """Pairs a row-by-row scan of a class of size elements has tested after
-    its first rows rows: row p pairs element p with the size - 1 - p after it."""
-    return rows * (size - 1) - rows * (rows - 1) // 2
-
-
-def _first_midpoint(arr: np.ndarray, c: np.ndarray) -> tuple[int, int] | None:
-    """(i, d) for the first pair (c[i], c[i + d]) in lexicographic index order
-    whose midpoint lies in the sorted array arr, or None."""
-    first, offset = len(c), 0
-    for d in range(1, len(c)):
-        # only rows before the first hit so far can hold an earlier one
-        rows = min(len(c) - d, first)
-        if rows <= 0:
-            break
-        mids = (c[:rows] + c[d : d + rows]) // 2
-        # a < mid < b <= max(arr), so the insertion point is a valid index
-        found = arr[np.searchsorted(arr, mids)] == mids
-        i = int(np.argmax(found))
-        if found[i]:
-            first, offset = i, d
-    return (first, offset) if offset else None
-
-
 def midpoint_free(
     s: Iterable[int] | APFreeSet, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
@@ -108,12 +84,13 @@ def midpoint_free(
 
     Only same-parity pairs can have an integer midpoint; their count
     C(#even, 2) + C(#odd, 2) is the price, refused above budget before any
-    array is built.  For each parity class c and index offset d, the
-    midpoints (c[:-d] + c[d:]) // 2 are looked up in the whole sorted set by
-    np.searchsorted, in int64 or, past 2^62, Python ints.  The report is the
-    one a scan of the same-parity pairs (a, b) in lexicographic index order
-    gives: the witness comes from its first hit, and pairs_checked counts the
-    pairs tested up to and including that hit (all of them when there is none).
+    array is built.  The report is that of a row-by-row scan of the
+    same-parity pairs (a, b), a < b, in lexicographic order: each element a,
+    in ascending order, is one row, whose midpoints (a + b) // 2 are looked
+    up in the whole sorted set by one np.searchsorted, in int64 or, past
+    2^62, Python ints.  The witness is the first hit of the first row with
+    one, and pairs_checked counts the pairs tested up to and including it
+    (all of them when there is none).
     """
     elements = _elements_of(s)
     n_odd = sum(e & 1 for e in elements)
@@ -122,26 +99,23 @@ def midpoint_free(
         raise BudgetExceeded(
             f"{total} same-parity pairs exceed the verify budget {budget}"
         )
-    report = VerificationReport(ok=True, witness=None, pairs_checked=total)
-    if not elements:
-        return report
-    bound = 2 * max(abs(elements[0]), abs(elements[-1]))
-    arr = np.array(elements, dtype=int_dtype(bound))
+    arr = np.array(elements, dtype=int_dtype(2 * max(map(abs, elements), default=0)))
     is_odd = arr % 2 == 1
-    even, odd = arr[~is_odd], arr[is_odd]
-    for c, other in ((even, odd), (odd, even)):
-        hit = _first_midpoint(arr, c)
-        if hit is None:
-            continue
-        i, d = hit
-        a, b = int(c[i]), int(c[i + d])
-        if report.ok or a < report.witness[1]:
-            # the scan has tested every row before a, in both classes, then d pairs
-            rows_other = int(np.searchsorted(other, a))
-            pairs = _pairs_in_rows(i, len(c)) + _pairs_in_rows(rows_other, len(other)) + d
-            report = VerificationReport(ok=False, witness=((a + b) // 2, a, b),
-                                        pairs_checked=pairs)
-    return report
+    classes, rows = (arr[~is_odd], arr[is_odd]), [0, 0]
+    pairs = 0
+    for a, odd in zip(arr, is_odd.tolist()):
+        rows[odd] += 1
+        later = classes[odd][rows[odd]:]
+        mids = (a + later) // 2
+        # a < mid < b <= max(arr), so the insertion point is a valid index
+        found = arr[np.searchsorted(arr, mids)] == mids
+        if found.any():
+            i = int(np.argmax(found))
+            a, b = int(a), int(later[i])
+            return VerificationReport(ok=False, witness=((a + b) // 2, a, b),
+                                      pairs_checked=pairs + i + 1)
+        pairs += len(later)
+    return VerificationReport(ok=True, witness=None, pairs_checked=total)
 
 
 def _short_differences(
@@ -312,7 +286,7 @@ def _dfs_search(m: int, values: list[int]) -> tuple[int, int]:
     return best, best_mask
 
 
-def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
+def exact_nu(n: int) -> tuple[int, APFreeSet]:
     """Largest progression-free subset size of {1..n}, with an attaining set.
 
     The witness is the lexicographically smallest optimum: include-first DFS
@@ -321,8 +295,8 @@ def exact_nu(n: int, budget: int = NU_BUDGET) -> tuple[int, APFreeSet]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > budget:
-        raise BudgetExceeded(f"n = {n} exceeds the search budget {budget}")
+    if n > NU_BUDGET:
+        raise BudgetExceeded(f"n = {n} exceeds the search budget {NU_BUDGET}")
     while len(_dfs_values) <= n:
         value, mask = _dfs_search(len(_dfs_values), _dfs_values)
         _dfs_values.append(value)
@@ -367,12 +341,12 @@ def _bb_search(m: int, values: list[int]) -> int:
     return best
 
 
-def exact_nu_bb(n: int, budget: int = NU_BUDGET) -> int:
+def exact_nu_bb(n: int) -> int:
     """Independent recomputation of the exact optimum; must agree with exact_nu."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > budget:
-        raise BudgetExceeded(f"n = {n} exceeds the search budget {budget}")
+    if n > NU_BUDGET:
+        raise BudgetExceeded(f"n = {n} exceeds the search budget {NU_BUDGET}")
     while len(_bb_values) <= n:
         m = len(_bb_values)
         _bb_values.append(_bb_search(m, _bb_values))

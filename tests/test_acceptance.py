@@ -24,7 +24,7 @@ from apfree.cli import main as cli_main
 from apfree.codec import decode, decode_all, encode, encode_all
 from apfree.elkin import construct_elkin, enumerate_witnesses
 from apfree.errors import DigitOutOfRange
-from apfree.lattice import discrepancy_scan, _coords_of_range
+from apfree.lattice import discrepancy_scan, _unravel
 from apfree.numeric import (
     ConstructionParams,
     behrend_bound,
@@ -127,7 +127,7 @@ def test_codec_round_trip_and_transport():
     rng = random.Random(11)
     for k, y in _codec_grid():
         total = y**k
-        coords = _coords_of_range(0, total, k, y)
+        coords = _unravel(np.arange(total), k, y)
         codes = encode_all(coords, y, k)
         assert len(np.unique(codes)) == total, f"encode not injective on (k={k}, y={y})"
         assert np.array_equal(decode_all(codes, k, y), coords), (
@@ -201,7 +201,7 @@ def test_moment_exactness():
         sum_sq = 0
         sum_quad = 0
         for start in range(0, total, 1 << 18):
-            coords = _coords_of_range(start, min(start + (1 << 18), total), k, y)
+            coords = _unravel(np.arange(start, min(start + (1 << 18), total)), k, y)
             norms = np.einsum("ij,ij->i", coords, coords)
             sum_sq += int(norms.sum())
             sum_quad += int((norms * norms).sum())

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from apfree import verify
 from apfree.cli import main
 from apfree.codec import APFreeSet
 from apfree.numeric import feasibility_gap
@@ -74,6 +75,24 @@ class TestConstruct:
     def test_rejects_degenerate_n(self, capsys):
         code, _, stderr = run(capsys, "construct", "--method", "behrend", "--n", "100")
         assert code == 1
+
+    def test_k_without_y_exits_1(self, capsys):
+        code, stdout, stderr = run(capsys, "construct", "--method", "behrend", "--k", "3")
+        assert code == 1 and stdout == ""
+        assert "error: --k and --y must be given together" in stderr
+
+    def test_n_below_2_exits_1(self, capsys):
+        code, stdout, stderr = run(capsys, "construct", "--method", "behrend", "--n", "1")
+        assert code == 1 and stdout == ""
+        assert "error: n must be >= 2, got 1" in stderr
+
+    def test_non_integer_budget_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["construct", "--method", "behrend", "--n", "64", "--budget", "abc"])
+        assert exc_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget: expected a positive integer, got 'abc'" in captured.err
 
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "set.csv"
@@ -335,6 +354,12 @@ class TestNu:
         assert code == 0
         assert stdout.strip() == "nu=5 oracle_agree=true"
 
+    def test_disagreeing_oracles_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "exact_nu_bb", lambda n: 4)
+        code, stdout, _ = run(capsys, "nu", "--n", "9")
+        assert code == 4
+        assert stdout.strip() == "nu=5 nu_bb=4 oracle_agree=false"
+
 
 class TestDiscrepancy:
     def test_last_row_is_gauss_count(self, capsys):
@@ -369,6 +394,12 @@ class TestDiscrepancy:
         assert code == 0
         assert len(out.read_text().splitlines()) == 11
 
+    def test_k_below_2_exits_1(self, capsys):
+        code, stdout, stderr = run(capsys, "discrepancy", "--k", "1", "--t-max", "5",
+                                   "--m", "1")
+        assert code == 1 and stdout == ""
+        assert "error: discrepancy scans need k >= 2, got 1" in stderr
+
     @pytest.mark.parametrize("argv", [
         ("--k", "400", "--t-max", "1", "--m", "1"),  # Gamma(201) passes the float range
         ("--k", "200", "--t-max", "2000", "--t-step", "2000", "--m", "1"),  # t^(k/2)
@@ -402,6 +433,11 @@ class TestWitnessCount:
         assert code == 1 and stdout == ""
         assert "epsilon must be finite and > 0" in stderr
 
+    def test_g_below_1_exits_1(self, capsys):
+        code, stdout, stderr = run(capsys, "witness-count", "--k", "3", "--g", "0")
+        assert code == 1 and stdout == ""
+        assert "error: need k >= 1 and g >= 1, got k=3, g=0" in stderr
+
     def test_large_k_is_counted_in_under_a_second(self, capsys):
         start = time.perf_counter()
         code, stdout, _ = run(capsys, "witness-count", "--k", "200", "--g", "8")
@@ -424,6 +460,11 @@ class TestHistogram:
         code, stdout, _ = run(capsys, "histogram", "--k", "2", "--y", "3")
         assert code == 0
         assert stdout == "norm_sq,count\n0,1\n1,2\n2,1\n4,2\n5,2\n8,1\n"
+
+    def test_k_below_1_exits_1(self, capsys):
+        code, stdout, stderr = run(capsys, "histogram", "--k", "0", "--y", "3")
+        assert code == 1 and stdout == ""
+        assert "error: need k >= 1 and y >= 1, got k=0, y=3" in stderr
 
     def test_k2_y400_answers_at_the_default_budget(self, capsys):
         code, stdout, _ = run(capsys, "histogram", "--k", "2", "--y", "400")

@@ -16,7 +16,7 @@ from apfree import lattice
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
     ShellSelection,
-    _coords_of_range,
+    _unravel,
     _window_ends,
     annulus_count,
     build_histogram,
@@ -512,7 +512,7 @@ class TestShellMembers:
     @pytest.mark.parametrize("k,y", [(1, 5), (2, 3), (3, 4), (4, 3), (5, 2), (3, 7),
                                      (5, 8), (3, 30)])
     def test_points_equal_brute_cube_filter(self, k, y):
-        cube = _coords_of_range(0, y**k, k, y)
+        cube = _unravel(np.arange(y**k), k, y)
         norms = (cube * cube).sum(axis=1)
         top = k * (y - 1) ** 2
         windows = [(0, 0), (1, 1), (2, 3), (top // 2, top // 2 + 2), (top, top),
@@ -528,7 +528,7 @@ class TestShellMembers:
     @pytest.mark.parametrize("k,y", [(1, 5), (2, 3), (3, 4), (4, 3), (5, 2), (3, 7),
                                      (5, 8), (3, 30)])
     def test_sub_cube_points_equal_brute_cube_filter(self, k, y):
-        cube = _coords_of_range(0, y**k, k, y)
+        cube = _unravel(np.arange(y**k), k, y)
         norms = (cube * cube).sum(axis=1)
         top = k * (y - 1) ** 2
         windows = [(0, 0), (1, 1), (2, 3), (top // 2, top // 2 + 2), (top, top),
@@ -643,6 +643,14 @@ class TestDiscrepancyScan:
         for k, t in [(400, 1), (342, 1), (200, 2000), (10**7, 1)]:
             with pytest.raises(ValueError, match="overflow floats"):
                 discrepancy_scan(k, [t], 1)
+
+    @pytest.mark.parametrize("k", [330, 339, 341])
+    def test_subnormal_volumes_equal_capped_ball_volume(self, k):
+        # with m <= 2 the coefficient beta_k / 2^(k-m+1) is subnormal here
+        for m in (1, 2, k + 1):
+            for rec in discrepancy_scan(k, [1, 4, 9], m):
+                assert rec.volume == capped_ball_volume(k, rec.t, m)
+                assert rec.reference_volume == capped_ball_volume(k - 2, rec.t, m)
 
     def test_volume_halves_per_constraint(self):
         assert capped_ball_volume(3, 100.0, 1) == pytest.approx(

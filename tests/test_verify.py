@@ -178,6 +178,27 @@ class TestMidpointFree:
             midpoint_free(range(1, 7), budget=5)
         assert midpoint_free(range(1, 7), budget=6).pairs_checked == 1
 
+    def test_far_triple_is_named_from_its_first_row(self):
+        # e0 - D is the smallest element and e0 + D the largest: the witness is
+        # in row 0, so the scan stops after that one row
+        elements = construct_behrend(resolve_params("behrend", 2**28)).set.elements
+        e0, far = elements[len(elements) // 2], 10**12
+        planted = [*elements, e0 - far, e0 + far]
+        start = time.perf_counter()
+        report = midpoint_free(planted)
+        assert time.perf_counter() - start < 0.1
+        assert report.witness == (e0, e0 - far, e0 + far)
+        assert report.pairs_checked == 4194
+        assert report == reference_midpoint_free(planted)
+
+    def test_free_set_reports_every_same_parity_pair(self):
+        elements = construct_behrend(resolve_params("behrend", 2**26)).set.elements
+        n_odd = sum(e % 2 for e in elements)
+        n_even = len(elements) - n_odd
+        report = midpoint_free(elements)
+        assert report.ok
+        assert report.pairs_checked == n_even * (n_even - 1) // 2 + n_odd * (n_odd - 1) // 2
+
 
 def _code(point, y) -> int:
     return sum(c * (2 * y) ** i for i, c in enumerate(point))
