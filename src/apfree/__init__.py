@@ -10,7 +10,7 @@ everything with independent ground truth.
 """
 
 from .behrend import BehrendArtifact, construct_behrend
-from .codec import APFreeSet, decode, encode, read_set
+from .codec import APFreeSet, read_set
 from .elkin import (
     ElkinArtifact,
     construct_elkin,
@@ -85,12 +85,10 @@ __all__ = [
     "construct_elkin",
     "convexly_independent",
     "count_capped_ball",
-    "decode",
     "default_params",
     "dhat_bound_check",
     "discrepancy_scan",
     "elkin_bound",
-    "encode",
     "enumerate_witnesses",
     "eta",
     "exact_moments",

@@ -2,11 +2,12 @@
 
 Pipeline: census the cube, pick the most populated squared norm T inside the
 Chebyshev window [mu - a*sigma, mu + a*sigma], collect the vectors of that
-norm, and map them to integers through the radix-2y digit map.  Vectors of a
-common norm admit no componentwise midpoints (a sphere is strictly convex),
-and the digit map transports midpoints, so the image is progression-free.
+norm, and map them to integers through the digit map of numeric.radix.
+Vectors of a common norm admit no componentwise midpoints (a sphere is
+strictly convex), and the digit map transports midpoints, so the image is
+progression-free.
 
-The zero vector encodes to 0, which is outside [1, n-1], so the selection
+The zero vector encodes to 0, which is outside [1, n], so the selection
 only considers norms T >= 1; the shell T = 0 would hold the origin alone.
 """
 

@@ -137,11 +137,11 @@ def _resolve_params(args) -> ConstructionParams:
 
 
 def _cube_params(args, k: int, y: int) -> ConstructionParams:
-    """The parameters of the cube [0, y-1]^k with n = (2y)^k, refused by the
-    enumeration budget before (2y)^k is formed."""
+    """The parameters of the cube [0, y-1]^k with n = radix(y)^k, refused by
+    the enumeration budget and by radix itself before that power is formed."""
     lattice.check_enumeration_budget(k, y, args.budget)
     return numeric.resolve_params(
-        args.method, (2 * y) ** k, k, y, args.a, args.epsilon, args.g
+        args.method, numeric.radix(y) ** k, k, y, args.a, args.epsilon, args.g
     )
 
 

@@ -1,15 +1,16 @@
-"""The radix-2y digit map and serialization of progression-free sets.
+"""The digit map of numeric.radix in bulk, and serialization of sets.
 
 A cube vector v = (v_1, ..., v_k) with digits in [0, y-1] encodes to
-v_hat = sum_i v_{i+1} * (2y)^i.  Because every digit stays strictly below
-half the radix, addition of two codes is carry-free, which is what makes
-the map transport midpoints: if v_hat = (u_hat + w_hat)/2 for cube vectors
-then v = (u + w)/2 coordinate by coordinate.
+v_hat = sum_i v_{i+1} * radix(y)^i.  Codes add without carries (see
+numeric.radix), which is what makes the map transport midpoints: if
+v_hat = (u_hat + w_hat)/2 for cube vectors then v = (u + w)/2 coordinate by
+coordinate.
 
-A vector is any sequence of k integer coordinates, a tuple or a row of an
-(N, k) int64 array; decode returns it as a tuple of ints.  encode_all and
-decode_all do the same for many vectors at once in one numpy body, in int64
-while (2y)^k < 2^62 and in Python ints (object dtype) above.
+encode_all takes k-coordinate integer sequences or the rows of an (N, k)
+integer array, and decode_all returns the points of codes as such an array;
+each is one numpy body, in int64 while radix(y)^k < 2^62 and in Python ints
+(object dtype) above.  Neither truncates: float coordinates or codes are
+refused.
 
 Sets are interchanged as JSON (schema "apfree-set/1") with elements as
 decimal strings, since codes routinely exceed 64 bits.
@@ -21,70 +22,49 @@ import csv
 import json
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ApfreeError, CoordOutOfRange, DigitOutOfRange, SetFormatError
-from .numeric import ConstructionParams, int_dtype
+from .numeric import ConstructionParams, int_dtype, radix
 
 SCHEMA = "apfree-set/1"
 
 _METHODS = ("behrend", "elkin", "exact", "external")
 
 
-def encode(v: Sequence[int], y: int) -> int:
-    """Evaluate the coordinates of v as little-endian base-(2y) digits."""
-    radix = 2 * y
-    code = 0
-    power = 1
-    for c in v:
-        if not 0 <= c <= y - 1:
-            raise CoordOutOfRange(f"coordinate {c} outside [0, {y - 1}]")
-        code += int(c) * power  # a numpy digit times a radix power past 2^63 overflows
-        power *= radix
-    return code
-
-
-def decode(x: int, k: int, y: int) -> tuple[int, ...]:
-    """Invert encode; rejects integers that are not codes of cube vectors."""
-    if x < 0:
-        raise DigitOutOfRange(f"{x} is negative")
-    radix = 2 * y
-    digits = []
-    rem = x
-    for _ in range(k):
-        rem, d = divmod(rem, radix)
-        if d >= y:
-            raise DigitOutOfRange(f"digit {d} of {x} in base {radix} is >= y = {y}")
-        digits.append(d)
-    if rem != 0:
-        raise DigitOutOfRange(f"{x} has more than {k} base-{radix} digits")
-    return tuple(digits)
-
-
 def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
-    """Codes of k-dimensional coordinate sequences or of the rows of an (N, k)
-    array, as ints."""
-    coords = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), k)
+    """Codes of k-dimensional integer coordinate sequences or of the rows of an
+    (N, k) integer array, as ints."""
+    coords = np.asarray(vectors)
+    # a float would be truncated; past int64 a value is out of range anyway
+    if coords.size and coords.dtype.kind not in "iu":
+        raise CoordOutOfRange(f"coordinates must be integers, got {coords.dtype}")
+    coords = coords.astype(np.int64, copy=False).reshape(len(vectors), k)
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
-    radix = 2 * y
-    powers = np.array([radix**i for i in range(k)], dtype=int_dtype(radix**k))
+    base = radix(y)
+    powers = np.array([base**i for i in range(k)], dtype=int_dtype(base**k))
     return (coords.astype(powers.dtype, copy=False) @ powers).tolist()
 
 
 def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
     """Digits of each code as an (N, k) int64 array; the inverse of encode_all."""
-    rem = np.array(codes, dtype=object)
+    rem = np.asarray(codes)
+    # a float would be truncated; past int64 the codes are Python ints, each checked
+    if rem.size and not (rem.dtype.kind in "iu" or rem.dtype.kind == "O" and all(
+            isinstance(c, Integral) and not isinstance(c, bool) for c in rem)):
+        raise DigitOutOfRange(f"codes must be integers, got {rem.dtype}")
     if rem.min(initial=0) < 0:
         raise DigitOutOfRange("negative values cannot be cube vector codes")
     rem = rem.astype(int_dtype(rem.max(initial=0)), copy=False)
-    radix = 2 * y
+    base = radix(y)
     digits = np.empty((len(rem), k), dtype=np.int64)
     for i in range(k):
-        digits[:, i] = rem % radix
-        rem //= radix
+        digits[:, i] = rem % base
+        rem //= base
     bad = (rem != 0) | (digits >= y).any(axis=1)
     if bad.any():
         culprit = codes[int(np.flatnonzero(bad)[0])]

@@ -3,8 +3,9 @@
 Everything that is a closed formula lives here: ball volumes with an exact
 Gamma factor, the exact first two moments of the squared norm of a uniform
 random cube vector, the witness-count exponent eta(epsilon), the classical
-and improved density comparators, and a run's parameters: (k, y) derived
-from a target interval bound n, and the knobs resolved once for both methods.
+and improved density comparators, the digit map's radix, and a run's
+parameters: (k, y) derived from a target interval bound n, and the knobs
+resolved once for both methods.
 
 Moments are kept as exact rationals.  For Y uniform on {0..y-1}:
 
@@ -101,14 +102,41 @@ def feasibility_gap(epsilon: float) -> float:
     return (1 - math.log2(math.pi * math.e / 6)) - (epsilon + eta(epsilon))
 
 
+def radix(y: int) -> int:
+    """The base of the digit map, 2y, for the cube [0, y-1]^k.
+
+    A point's code is sum_i v_i * radix(y)^i, its k coordinates as
+    little-endian digits, and the cube fits n iff radix(y)^k <= n.  Digits
+    below y add without carries in any base of at least 2y - 1, so codes
+    a + c = 2b iff points a + c = 2b, coordinate by coordinate (Behrend's
+    map).  y < 2 is refused here, before any power of the radix is formed.
+    """
+    if y < 2:
+        raise DegenerateParameters(f"y must be >= 2, got {y}")
+    return 2 * y
+
+
+def max_side(n: int, k: int) -> int:
+    """The largest y with radix(y)^k <= n, exact for arbitrary-precision
+    n >= 2 and k >= 2: half the integer k-th root of n."""
+    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo // 2
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Parameters governing one construction run.
 
     n is the target interval bound (arbitrary precision), k the dimension,
-    y the cube side (digit radix is 2y).  a is the Chebyshev multiplier of
-    the sphere-shell method; epsilon and g drive the annulus method.  g is
-    None until derived or overridden.
+    y the cube side, whose codes must fit: radix(y)^k <= n.  a is the
+    Chebyshev multiplier of the sphere-shell method; epsilon and g drive the
+    annulus method.  g is None until derived or overridden.
     """
 
     n: int
@@ -121,13 +149,11 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DegenerateParameters(f"k must be >= 1, got {self.k}")
-        if self.y < 2:
-            raise DegenerateParameters(f"y must be >= 2, got {self.y}")
-        # (2y)^k >= 2^(k (bits(2y) - 1)): a huge k fails before the power is formed
-        radix = 2 * self.y
-        if (self.k * (radix.bit_length() - 1) > self.n.bit_length()
-                or radix**self.k > self.n):
-            raise DegenerateParameters(f"(2y)^k = {radix}^{self.k} exceeds n = {self.n}")
+        # base^k >= 2^(k (bits(base) - 1)): a huge k fails before the power is formed
+        base = radix(self.y)
+        if (self.k * (base.bit_length() - 1) > self.n.bit_length()
+                or self.n_effective > self.n):
+            raise DegenerateParameters(f"(2y)^k = {base}^{self.k} exceeds n = {self.n}")
         if not 0 < self.a < math.inf:
             raise DegenerateParameters(f"a must be finite and > 0, got {self.a}")
         if not 0 < self.epsilon < math.inf:
@@ -139,8 +165,9 @@ class ConstructionParams:
 
     @property
     def n_effective(self) -> int:
-        """The largest encodable bound (2y)^k; equals n for exact powers."""
-        return (2 * self.y) ** self.k
+        """The cube's code bound radix(y)^k, which n must reach; equals n for
+        exact powers."""
+        return radix(self.y) ** self.k
 
     def effective_g(self) -> int:
         """The annulus squared-width: the override if set, else max(1, floor(eps*k)).
@@ -158,18 +185,6 @@ class ConstructionParams:
         return max(1, math.floor(self.epsilon * self.k))
 
 
-def _integer_kth_root(n: int, k: int) -> int:
-    """Largest r >= 0 with r^k <= n, exact for arbitrary-precision n >= 2, k >= 2."""
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def derive_dimension(n: int) -> int:
     """ceil(sqrt(2 * log2(n))), exact: the smallest k with 2^(k^2) >= n^2."""
     if n < 2:
@@ -185,7 +200,7 @@ def resolve_params(
     """The parameters of one run, for both methods and every caller.
 
     Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and
-    y = floor(n^(1/k) / 2), DegenerateParameters if y < 2.  A knob left at
+    y = max_side(n, k), DegenerateParameters if y < 2.  A knob left at
     None takes its default; the annulus method carries g = effective_g().
     """
     method = method.lower()
@@ -193,7 +208,7 @@ def resolve_params(
         raise ValueError(f"unknown method {method!r}")
     if k is None or y is None:
         k = derive_dimension(n)
-        y = _integer_kth_root(n, k) // 2
+        y = max_side(n, k)
         if y < 2:
             raise DegenerateParameters(f"n = {n} gives k = {k}, y = {y} < 2")
     params = ConstructionParams(

@@ -156,6 +156,7 @@ def short_difference_free(
     """
     if k < 1 or y < 2:
         raise ValueError(f"need k >= 1 and y >= 2, got k={k}, y={y}")
+    # its own digit split, not numeric.radix: the check shares no code with the encoder
     elements, radix = _elements_of(s), 2 * y
     n = len(elements)
     if not n:

@@ -124,19 +124,28 @@ class TestConstruct:
             assert code == 1 and stdout == ""
             assert refusal in stderr
 
-    @pytest.mark.parametrize("argv", [
-        ["construct", "--method", "behrend", "--k", "100000000", "--y", "2"],
-        ["construct", "--method", "elkin", "--k", "100000000", "--y", "2"],
-        ["sweep", "--method", "behrend", "--k-range", "100000000:100000000",
-         "--y-range", "2:2", "--out", "unused.csv"],
-    ])
-    def test_huge_k_is_refused_before_2y_to_the_k_is_formed(self, capsys, argv):
+    @pytest.mark.parametrize("argv, refusal", [
+        (["construct", "--method", "behrend", "--k", "100000000", "--y", "2"],
+         "exceeds the enumeration budget"),
+        (["construct", "--method", "elkin", "--k", "100000000", "--y", "2"],
+         "exceeds the enumeration budget"),
+        (["sweep", "--method", "behrend", "--k-range", "100000000:100000000",
+          "--y-range", "2:2", "--out", "unused.csv"], "exceeds the enumeration budget"),
+        # y^k = 1 passes the budget; 2^(10^9) takes seconds and hundreds of MB
+        (["construct", "--method", "behrend", "--k", "1000000000", "--y", "1"],
+         "y must be >= 2, got 1"),
+        (["construct", "--method", "elkin", "--k", "1000000000", "--y", "1"],
+         "y must be >= 2, got 1"),
+        (["sweep", "--method", "behrend", "--k-range", "1000000000:1000000000",
+          "--y-range", "1:1", "--out", "unused.csv"], "y must be >= 2, got 1"),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_huge_k_is_refused_before_2y_to_the_k_is_formed(self, capsys, argv, refusal):
         # (2y)^k would have 2e8 bits; its decimal string passes int's digit limit
         start = time.perf_counter()
         code, stdout, stderr = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and stdout == ""
-        assert "exceeds the enumeration budget" in stderr
+        assert refusal in stderr
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

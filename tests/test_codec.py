@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apfree
 from apfree.codec import (
     APFreeSet,
-    decode,
     decode_all,
-    encode,
     encode_all,
     read_set,
     set_from_json_dict,
 )
 from apfree.errors import CoordOutOfRange, DigitOutOfRange, SetFormatError
 from apfree.numeric import ConstructionParams
+
+from test_verify import _code
 
 
 @st.composite
@@ -32,53 +33,61 @@ def cube_and_vector(draw):
     return k, y, coords
 
 
+def test_every_export_is_defined():
+    # a stale name would surface only at a user's `from apfree import *`
+    assert [name for name in apfree.__all__ if not hasattr(apfree, name)] == []
+
+
 class TestEncode:
     def test_examples(self):
-        assert encode((0, 1), 3) == 6
-        assert encode((0, 0, 0, 0), 5) == 0
-        assert encode((1, 0, 0), 2) == 1
-        assert encode((0, 0, 1), 2) == 16
+        assert encode_all([(0, 1)], 3, 2) == [6]
+        assert encode_all([(0, 0, 0, 0)], 5, 4) == [0]
+        assert encode_all([(1, 0, 0), (0, 0, 1)], 2, 3) == [1, 16]
 
     def test_accepts_array_rows(self):
-        assert encode(np.array([2, 1], dtype=np.int64), 3) == 8
-        assert encode(np.array([0, 0, 1], dtype=np.int64), 2**40) == 2**82
+        assert encode_all(np.array([[2, 1]], dtype=np.int64), 3, 2) == [8]
+        assert encode_all(np.array([[0, 0, 1]], dtype=np.int64), 2**40, 3) == [2**82]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(CoordOutOfRange):
-            encode((3,), 3)
+            encode_all([(3,)], 3, 1)
         with pytest.raises(CoordOutOfRange):
-            encode((-1, 0), 3)
+            encode_all([(-1, 0)], 3, 2)
 
 
 class TestDecode:
     def test_examples(self):
-        assert decode(6, 2, 3) == (0, 1)
-        assert decode(0, 3, 4) == (0, 0, 0)
+        assert decode_all([6], 2, 3).tolist() == [[0, 1]]
+        assert decode_all([0], 3, 4).tolist() == [[0, 0, 0]]
         # 7 in base 6 is (1, 1): both digits below y = 3
-        assert decode(7, 2, 3) == (1, 1)
+        assert decode_all([7], 2, 3).tolist() == [[1, 1]]
 
     def test_rejects_large_digit(self):
         with pytest.raises(DigitOutOfRange):
-            decode(3, 2, 3)
+            decode_all([3], 2, 3)
 
     def test_rejects_too_many_digits(self):
         with pytest.raises(DigitOutOfRange):
-            decode(6**2, 2, 3)
+            decode_all([6**2], 2, 3)
 
     def test_rejects_negative(self):
         with pytest.raises(DigitOutOfRange):
-            decode(-1, 2, 3)
+            decode_all([-1], 2, 3)
 
     @given(cube_and_vector())
     @settings(max_examples=200)
     def test_round_trip(self, kyv):
         k, y, coords = kyv
-        assert decode(encode(coords, y), k, y) == coords
+        codes = encode_all([coords], y, k)
+        assert codes == [_code(coords, y)]
+        assert tuple(decode_all(codes, k, y)[0].tolist()) == coords
 
     def test_exhaustive_small_cubes(self):
         for k, y in [(2, 3), (3, 2), (2, 4), (4, 3)]:
-            for v in itertools.product(range(y), repeat=k):
-                assert decode(encode(v, y), k, y) == v
+            cube = list(itertools.product(range(y), repeat=k))
+            codes = encode_all(cube, y, k)
+            assert codes == [_code(v, y) for v in cube]
+            assert [tuple(row) for row in decode_all(codes, k, y).tolist()] == cube
 
     def test_bulk_matches_scalar(self):
         rng = random.Random(7)
@@ -87,7 +96,7 @@ class TestDecode:
                 tuple(rng.randrange(y) for _ in range(k)) for _ in range(200)
             ]
             codes = encode_all(vs, y, k)
-            assert codes == [encode(v, y) for v in vs]
+            assert codes == [_code(v, y) for v in vs]
             assert [tuple(row) for row in decode_all(codes, k, y).tolist()] == vs
 
     @pytest.mark.parametrize("k,y", [(30, 2), (31, 2), (20, 6), (27, 4), (9, 3)])
@@ -97,7 +106,7 @@ class TestDecode:
         coords = rng.integers(0, y, size=(50, k))
         coords[0] = y - 1
         codes = encode_all(coords, y, k)
-        assert codes == [encode(tuple(int(c) for c in row), y) for row in coords]
+        assert codes == [_code(row, y) for row in coords]
         assert codes == encode_all([tuple(row) for row in coords.tolist()], y, k)
         assert all(type(c) is int for c in codes)
         assert np.array_equal(decode_all(codes, k, y), coords)
@@ -106,20 +115,25 @@ class TestDecode:
 
     @pytest.mark.parametrize("k,y", [(9, 3), (27, 4)])
     def test_bulk_decode_rejects_non_codes(self, k, y):
-        # 6^9 takes the int64 path, 8^27 the Python-int one.
+        # 6^9 takes the int64 path, 8^27 the Python-int one; a float is
+        # refused, not truncated to a code (6.5 to 6, (0.5, 1.9) to (0, 1))
         top = (2 * y) ** k
-        for bad in (-1, y, top, top + 1):
-            with pytest.raises(DigitOutOfRange):
-                decode_all([0, bad], k, y)
-        with pytest.raises(CoordOutOfRange):
-            encode_all([(y,) + (0,) * (k - 1)], y, k)
+        largest = _code((y - 1,) * k, y)
+        for bad in (-1, y, top, top + 1, 6.5, float(y - 1)):
+            for codes in ([0, bad], [largest, bad]):
+                with pytest.raises(DigitOutOfRange):
+                    decode_all(codes, k, y)
+        for coords in ([(y,) + (0,) * (k - 1)], [(0.5,) + (1.9,) * (k - 1)],
+                       np.full((1, k), 1.0)):
+            with pytest.raises(CoordOutOfRange):
+                encode_all(coords, y, k)
 
 
 class TestMidpointTransport:
     def test_exhaustive_triples(self):
         for k, y in [(2, 3), (3, 2), (2, 4)]:
             cube = list(itertools.product(range(y), repeat=k))
-            codes = {v: encode(v, y) for v in cube}
+            codes = dict(zip(cube, encode_all(cube, y, k)))
             code_set = set(codes.values())
             for u, w in itertools.product(cube, repeat=2):
                 s = codes[u] + codes[w]
@@ -127,7 +141,7 @@ class TestMidpointTransport:
                     continue
                 mid_code = s // 2
                 if mid_code in code_set:
-                    mid = decode(mid_code, k, y)
+                    mid = decode_all([mid_code], k, y)[0]
                     assert all(
                         2 * c == a + b for c, a, b in zip(mid, u, w)
                     )
@@ -138,11 +152,11 @@ class TestMidpointTransport:
             for _ in range(3000):
                 u = tuple(rng.randrange(y) for _ in range(k))
                 w = tuple(rng.randrange(y) for _ in range(k))
-                s = encode(u, y) + encode(w, y)
+                s = sum(encode_all([u, w], y, k))
                 if s % 2:
                     continue
                 try:
-                    mid = decode(s // 2, k, y)
+                    mid = decode_all([s // 2], k, y)[0]
                 except DigitOutOfRange:
                     continue
                 assert all(2 * c == a + b for c, a, b in zip(mid, u, w))

@@ -174,7 +174,7 @@ class TestDefaultParams:
             p = default_params(n, "behrend")
         except DegenerateParameters:
             return
-        assert (2 * p.y) ** p.k <= n
+        assert (2 * p.y) ** p.k <= n < (2 * (p.y + 1)) ** p.k
         assert p.k >= 2 and p.y >= 2
 
     def test_rejects_unknown_method(self):
@@ -186,6 +186,11 @@ class TestConstructionParams:
     def test_rejects_oversized_cube(self):
         with pytest.raises(DegenerateParameters):
             ConstructionParams(n=35, k=2, y=3)
+        for k, y in [(1, 2), (2, 3), (8, 8), (9, 10), (40, 7)]:
+            n = (2 * y) ** k
+            assert ConstructionParams(n=n, k=k, y=y).n_effective == n
+            with pytest.raises(DegenerateParameters, match=r"\(2y\)\^k = "):
+                ConstructionParams(n=n - 1, k=k, y=y)
 
     def test_rejects_huge_k_from_bit_lengths(self):
         # (2y)^k would have 2e8 bits; the message names its base and exponent

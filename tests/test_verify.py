@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apfree import verify
 from apfree.behrend import construct_behrend
-from apfree.codec import APFreeSet, decode, decode_all, read_set
+from apfree.codec import APFreeSet, decode_all, read_set
 from apfree.elkin import construct_elkin
 from apfree.errors import BudgetExceeded, DigitOutOfRange
 from apfree.lattice import ShellSelection, shell_members
@@ -201,7 +201,8 @@ class TestMidpointFree:
 
 
 def _code(point, y) -> int:
-    return sum(c * (2 * y) ** i for i, c in enumerate(point))
+    """The reference code of a point: its coordinates as base-2y digits."""
+    return sum(int(c) * (2 * y) ** i for i, c in enumerate(point))
 
 
 @st.composite
@@ -272,7 +273,7 @@ class TestShortDifference:
             p = s.params_echo
             for a, c in itertools.combinations(s.elements[:-1], 2):
                 try:
-                    decode((a + c) // 2, p.k, p.y)
+                    decode_all([(a + c) // 2], p.k, p.y)
                 except DigitOutOfRange:
                     continue
                 if (a + c) % 2 == 0 and (a + c) // 2 not in s.elements:
