@@ -34,7 +34,12 @@ def main() -> int:
     ap.add_argument("--out", help="CSV path (default stdout table)")
     args = ap.parse_args()
 
-    lo, hi, step = (int(x) for x in args.exponents.split(":"))
+    try:
+        lo, hi, step = (int(x) for x in args.exponents.split(":"))
+    except ValueError:
+        ap.error(f"--exponents must be lo:hi:step integers, got {args.exponents!r}")
+    if step < 1:
+        ap.error(f"--exponents step must be >= 1, got {step}")
     rows = []
     for e in range(lo, hi + 1, step):
         n = 2**e

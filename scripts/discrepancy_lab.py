@@ -35,12 +35,20 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--out", help="CSV path for the raw records")
     args = ap.parse_args()
+    if min(args.t_lo, args.t_hi) < 1:
+        ap.error(f"--t-lo and --t-hi must be >= 1, got {args.t_lo} and {args.t_hi}")
+    try:
+        ks = [int(s) for s in args.k_values.split(",")]
+    except ValueError:
+        ap.error(f"--k-values must be comma-separated integers, got {args.k_values!r}")
+    if min(ks) < 2:
+        ap.error(f"--k-values must be >= 2, got {min(ks)}")
 
     grid = geometric_grid(args.t_lo, args.t_hi, args.points_per_decade)
     split = (args.t_lo * args.t_hi) ** 0.5
     rows = []
     print("k  m   bottom_mean  top_mean  top/bottom")
-    for k in (int(s) for s in args.k_values.split(",")):
+    for k in ks:
         for m in (1, k + 1):
             records = discrepancy_scan(k, grid, m, budget=args.budget)
             bottom = [r.ratio for r in records if r.t <= split]

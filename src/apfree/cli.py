@@ -1,4 +1,4 @@
-"""Command-line surface: construct, verify, sweep, nu, discrepancy, witness-count.
+"""Commands: construct, verify, sweep, nu, discrepancy, witness-count, histogram.
 
 Exit codes: 0 success, 1 generic error, 2 empty result, 3 input parse error,
 4 oracle disagreement.  All commands are deterministic; construct's JSON

@@ -1,12 +1,13 @@
 """Annulus construction: widen the shell, then keep only extreme points.
 
-Instead of a single squared norm, take a window [T-g, T] of width g chosen
-by pigeonhole among the tilings of the Chebyshev window.  Points of the
-annulus that are convex combinations of other ball points always admit a
-short certificate: a nonzero integer vector delta with ||delta||^2 <= g and
-0 <= <b, delta> <= g.  Filtering out every point with such a certificate
-leaves a subset of the ball's extreme points, which is convexly independent
-and therefore encodes to a progression-free set.
+Instead of a single squared norm, take the annulus [t_low, t_high] that
+pigeonhole picks among the tiles of the Chebyshev window mu +- 2*sigma, g
+norms each and the last up to g+1; t_low < 0 when mu - 2*sigma < 0.
+Points of the annulus that are convex combinations of other ball points
+always admit a short certificate: a nonzero integer vector delta with
+||delta||^2 <= g and 0 <= <b, delta> <= g.  Filtering out every point with
+such a certificate leaves a subset of the ball's extreme points, which is
+convexly independent and therefore encodes to a progression-free set.
 
 Much of the filter's answer is known before it runs.  Each unit vector e_i
 is a witness (||e_i||^2 = 1 <= g), and <b, e_i> = b_i, so every point with a

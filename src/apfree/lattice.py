@@ -9,8 +9,8 @@ rounds can reach, about k^2 * y^3 / 2 cells in all, plus one copy of the
 k(y-1)^2 + 1 cells per round; not y^k.
 The census is one dense array, counts[t] for t = 0..k(y-1)^2, from the DP
 through selection to the CSV.  Both selections tile their window (Behrend
-with single norms, Elkin with width-g sub-windows) and share one pick: the
-most populated tile, from one prefix sum of the census.
+with single norms, Elkin with width-g sub-windows); one pick takes the most
+populated tile, from one prefix sum of the census, and builds the selection.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
 of ranks, keeps the ranks whose squared norm lies in the window, and unravels
 those once into an (N, k) int64 array; it can be narrowed to a sub-cube
@@ -33,7 +33,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -152,12 +152,14 @@ def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
 
 
 def _best_tile(
-    counts: np.ndarray, starts: np.ndarray, ends: np.ndarray, lo: int, hi: int
-) -> tuple[int, int, int]:
-    """(i, population, census total) of the most populated tile [starts[i], ends[i]].
+    counts: np.ndarray, moments: MomentSummary, a: float, lo: int, hi: int,
+    starts: np.ndarray, ends: np.ndarray, floor: Callable[[int], tuple[float, float]],
+) -> ShellSelection:
+    """The most populated tile [starts[i], ends[i]] of the mu +- a*sigma window [lo, hi].
 
-    Ties go to the first tile.  Tiles may reach below norm 0 or past the top
-    of the census.  Raises EmptyWindow for the window [lo, hi] if all are empty.
+    Ties go to the first tile; tiles may reach below norm 0 or past the census.
+    floor(census total) gives the pigeonhole floor to record and the least
+    population that meets it.  Raises EmptyWindow if every tile is empty.
     """
     prefix = np.concatenate(([0], np.cumsum(counts)))  # prefix[i] = sum(counts[:i])
     size = len(counts)
@@ -165,7 +167,14 @@ def _best_tile(
     if not pops.any():
         raise EmptyWindow(f"no populated squared norm in [{lo}, {hi}]")
     best = int(np.argmax(pops))
-    return best, int(pops[best]), int(prefix[-1])
+    population = int(pops[best])
+    bound, need = floor(int(prefix[-1]))
+    mu, sigma = float(moments.mu_Z), moments.sigma_Z
+    return ShellSelection(
+        t_low=int(starts[best]), t_high=int(ends[best]), population=population,
+        sigma_window=(mu - a * sigma, mu + a * sigma), pigeonhole_bound=bound,
+        meets_bound=population >= need,
+    )
 
 
 def select_behrend_shell(
@@ -176,26 +185,20 @@ def select_behrend_shell(
     counts is the census from build_histogram.  The norm 0 is skipped: its
     one member, the origin, encodes to 0, outside [1, n].  Ties break toward
     the smallest norm.  The returned selection records the pigeonhole floor
-    (1 - 1/a^2) * y^k / (2*a*sigma + 1).
+    (1 - 1/a^2) * y^k / (2*a*sigma + 1), met within float rounding.
     """
     if not 0 < a < math.inf:
         raise ValueError(f"a must be finite and > 0, got {a}")
-    a_frac = Fraction(a)
-    lo, hi = _window_ends(moments.mu_Z, a_frac * a_frac * moments.var_Z)
+    a_sq = Fraction(a) ** 2
+    lo, hi = _window_ends(moments.mu_Z, a_sq * moments.var_Z)
     # Width-1 tiles over the part of the window the census holds.
     norms = np.arange(max(lo, 1), min(hi, len(counts) - 1) + 1)
-    best, best_count, total = _best_tile(counts, norms, norms, lo, hi)
-    sigma = moments.sigma_Z
-    bound = float((1 - 1 / (a_frac * a_frac)) * total) / (2 * a * sigma + 1)
-    window = (float(moments.mu_Z) - a * sigma, float(moments.mu_Z) + a * sigma)
-    return ShellSelection(
-        t_low=int(norms[best]),
-        t_high=int(norms[best]),
-        population=best_count,
-        sigma_window=window,
-        pigeonhole_bound=bound,
-        meets_bound=best_count >= bound - 1e-9,
-    )
+
+    def floor(total: int) -> tuple[float, float]:
+        bound = float((1 - 1 / a_sq) * total) / (2 * a * moments.sigma_Z + 1)
+        return bound, bound - 1e-9
+
+    return _best_tile(counts, moments, a, lo, hi, norms, norms, floor)
 
 
 def annulus_count(moments: MomentSummary, g: int) -> int:
@@ -215,25 +218,19 @@ def select_elkin_annulus(
     ell = ceil(4*sigma/g) integer sub-windows: the first ell-1 are half-open
     of width g (g integer norms each), the last is closed and absorbs the
     remainder (at most g+1 norms).  Ties break toward the smallest t_low.
-    The pigeonhole floor is ceil((3/4) * y^k / ell).
+    The pigeonhole floor is ceil((3/4) * y^k / ell), compared exactly.
     """
     lo, hi = _window_ends(moments.mu_Z, 4 * moments.var_Z)
     ell = annulus_count(moments, g)
     starts = np.arange(lo, hi + 1, g)[:ell]
     ends = starts + (g - 1)
     ends[-1:] = hi  # the last tile absorbs the remainder
-    best, best_count, total = _best_tile(counts, starts, ends, lo, hi)
-    bound = -((-3 * total) // (4 * ell))  # ceil(3*total / (4*ell))
-    sigma = moments.sigma_Z
-    window = (float(moments.mu_Z) - 2 * sigma, float(moments.mu_Z) + 2 * sigma)
-    return ShellSelection(
-        t_low=int(starts[best]),
-        t_high=int(ends[best]),
-        population=best_count,
-        sigma_window=window,
-        pigeonhole_bound=float(bound),
-        meets_bound=best_count >= bound,
-    )
+
+    def floor(total: int) -> tuple[float, int]:
+        bound = -((-3 * total) // (4 * ell))  # ceil(3*total / (4*ell))
+        return float(bound), bound
+
+    return _best_tile(counts, moments, 2, lo, hi, starts, ends, floor)
 
 
 def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from apfree import verify
+from apfree import cli, verify
 from apfree.cli import main
 from apfree.codec import APFreeSet
 from apfree.numeric import feasibility_gap
@@ -151,6 +151,17 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc_info:
             main(["construct"])  # --method missing
         assert exc_info.value.code == 1
+
+
+def test_help_describes_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrap inside "witness-count"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    # the description, not the usage line that argparse fills in itself
+    description = capsys.readouterr().out.split("\n\n")[1]
+    for name in cli._COMMANDS:
+        assert name in description, name
 
 
 class TestParamsResolution:

@@ -246,6 +246,16 @@ class TestSelectBehrendShell:
         with pytest.raises(ValueError, match="a must be finite and > 0"):
             select_behrend_shell(build_histogram(2, 3), exact_moments(2, 3), a)
 
+    def test_floor_met_exactly_is_met_through_float_rounding(self):
+        # mu = 2, sigma = 1/3: at a = 2 the window holds only the norm 2, and
+        # the floor (3/4) * 28 / (7/3) is 9 exactly, but 9.000000000000002 in
+        # floats; 9 points there meet it.
+        moments = MomentSummary(Fraction(2), Fraction(1, 9))
+        shell = select_behrend_shell(census({2: 9, 8: 19}), moments, 2.0)
+        assert (shell.t_low, shell.population) == (2, 9)
+        assert 9 < shell.pigeonhole_bound < 9 + 1e-9
+        assert shell.meets_bound
+
     def test_pigeonhole_floor_holds_on_grid(self):
         for k in range(1, 5):
             for y in range(2, 8):
@@ -303,6 +313,9 @@ class TestClosedForms:
                 moments = exact_moments(k, y)
                 for g in range(1, 30):
                     self._check_count(moments, g)
+        for g in (0, -1):
+            with pytest.raises(ValueError, match=f"g must be >= 1, got {g}"):
+                annulus_count(exact_moments(2, 3), g)
 
     def test_annulus_count_on_random_rationals(self):
         rng = random.Random(63)
@@ -331,6 +344,17 @@ class TestSelectElkinAnnulus:
         for g in (1, 2):
             with pytest.raises(EmptyWindow, match=r"no populated squared norm in \[1, 0\]"):
                 select_elkin_annulus(census({0: 1, 1: 1}), moments, g)
+
+    def test_floor_is_compared_in_integers_past_2_53(self):
+        # mu = 2, sigma = 1/2: at g = 2 the one tile is [1, 3].  Of 2^56/3
+        # points, the floor is ceil(3/4 * total) = 2^54 + 1, which rounds to
+        # the float 2^54: only an integer comparison sees 2^54 points miss it.
+        moments = MomentSummary(Fraction(2), Fraction(1, 4))
+        total, short = 2**56 // 3 + 1, 2**54
+        shell = select_elkin_annulus(census({2: short, 8: total - short}), moments, 2)
+        assert (shell.t_low, shell.t_high, shell.population) == (1, 3, short)
+        assert shell.pigeonhole_bound == float(2**54 + 1) == short
+        assert not shell.meets_bound
 
     def test_k2_y3_g1(self):
         shell = select_elkin_annulus(build_histogram(2, 3), exact_moments(2, 3), 1)
@@ -461,6 +485,7 @@ class TestEnumerationBudget:
     @given(st.integers(1, 200), st.integers(1, 10**4), st.integers(1, 10**12))
     @example(8, 10, 10**8)
     @example(27, 2, 10**8)
+    @example(2, 10, 99)  # 100 > 99 though 6 bits < 7: only the exact test refuses
     def test_refuses_exactly_when_y_to_the_k_exceeds_budget(self, k, y, budget):
         if y**k > budget:
             with pytest.raises(BudgetExceeded, match="enumeration budget"):
@@ -598,6 +623,10 @@ class TestCountCappedBall:
             count_capped_ball(2, 10, 0)
         with pytest.raises(ValueError):
             count_capped_ball(2, 10, 4)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            count_capped_ball(0, 10, 1)
+        with pytest.raises(ValueError, match="t must be >= 0, got -1"):
+            count_capped_ball(2, -1, 3)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -629,6 +658,7 @@ class TestDiscrepancyScan:
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
             discrepancy_scan(2, [0, 25], 3)
+        assert discrepancy_scan(2, [], 3) == []  # no t to refuse, none to count
 
     def test_k3_t100_unconstrained(self):
         (rec,) = discrepancy_scan(3, [100], 4)

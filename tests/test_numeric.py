@@ -35,6 +35,8 @@ class TestBallVolume:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             ball_volume(0, 1.0)
+        with pytest.raises(ValueError, match="squared radius must be >= 0"):
+            ball_volume(2, -1.0)
 
     @given(st.integers(min_value=1, max_value=170))
     def test_matches_float_gamma(self, ell):
@@ -105,6 +107,12 @@ class TestExactMoments:
         for k in range(1, 6):
             for y in range(2, 9):
                 assert exact_moments(k, y).sigma_Z > 0
+
+    def test_rejects_bad_k_and_y(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            exact_moments(0, 3)
+        with pytest.raises(ValueError, match="y must be >= 2, got 1"):
+            exact_moments(2, 1)
 
 
 class TestEta:

@@ -1,11 +1,14 @@
 """Smoke tests of the scripts under scripts/: each runs on a tiny range, in a
-fresh interpreter, and writes the rows its arguments ask for."""
+fresh interpreter, and writes the rows its arguments ask for; a malformed
+range is refused with a one-line usage error."""
 
 import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +46,21 @@ def test_discrepancy_lab(tmp_path):
     assert len(rows) == 4 * len(grid)
     assert {(r["k"], r["m"]) for r in rows} == {("2", "1"), ("2", "3"), ("3", "1"),
                                                 ("3", "4")}
+
+
+@pytest.mark.parametrize("name, argv, refusal", [
+    ("density_sweep.py", ["--exponents", "16:32"], "lo:hi:step integers"),
+    ("density_sweep.py", ["--exponents", "16:32:0"], "step must be >= 1, got 0"),
+    ("density_sweep.py", ["--exponents", "x"], "lo:hi:step integers, got 'x'"),
+    ("discrepancy_lab.py", ["--t-lo", "0"], "must be >= 1, got 0 and 10000"),
+    ("discrepancy_lab.py", ["--t-hi", "-1"], "must be >= 1, got 100 and -1"),
+    ("discrepancy_lab.py", ["--k-values", "3,x"], "integers, got '3,x'"),
+    ("discrepancy_lab.py", ["--k-values", "3,1"], "--k-values must be >= 2, got 1"),
+], ids=["sweep-two-fields", "sweep-zero-step", "sweep-not-a-range", "lab-t-lo-0",
+        "lab-t-hi-negative", "lab-k-not-a-list", "lab-k-1"])
+def test_malformed_ranges_are_refused_in_one_line(tmp_path, name, argv, refusal):
+    proc = run_script(name, *argv, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"{name}: error: ") and refusal in last

@@ -298,6 +298,11 @@ class TestShortDifference:
         assert short_difference_free([1, 2, 6**3], 3, 3) is None
         assert short_difference_free([-1, 2], 3, 3) is None
 
+    @pytest.mark.parametrize("k, y", [(0, 3), (2, 1)])
+    def test_rejects_a_degenerate_cube(self, k, y):
+        with pytest.raises(ValueError, match=f"need k >= 1 and y >= 2, got k={k}"):
+            short_difference_free([1, 2], k, y)
+
     def test_no_params_falls_back(self):
         s = APFreeSet(n=10, elements=(1, 2, 4, 5), method="external")
         assert progression_free(s) == midpoint_free(s)
@@ -466,6 +471,8 @@ class TestExactNu:
             exact_nu(65)
         with pytest.raises(ValueError):
             exact_nu(0)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            exact_nu_bb(0)
 
 
 class TestOracleAgreement:
