@@ -7,13 +7,16 @@ v_hat = (u_hat + w_hat)/2 for cube vectors then v = (u + w)/2 coordinate by
 coordinate.
 
 encode_all takes k-coordinate integer sequences or the rows of an (N, k)
-integer array, and decode_all returns the points of codes as such an array;
-each is one numpy body, in int64 while radix(y)^k < 2^62 and in Python ints
-(object dtype) above.  Neither truncates: float coordinates or codes are
-refused.
+array of any integer dtype, and decode_all returns the points of codes as an
+(N, k) int64 array; each is one numpy body, in int64 while radix(y)^k < 2^62
+and in Python ints (object dtype) above.  encode_all forms the codes by
+Horner's rule, one column at a time, so it never copies the whole (N, k)
+block.  Neither truncates: float coordinates or codes are refused.
 
 Sets are interchanged as JSON (schema "apfree-set/1") with elements as
-decimal strings, since codes routinely exceed 64 bits.
+decimal strings, since codes routinely exceed 64 bits.  write_json writes
+exactly json.dump(to_json_dict(), indent=2) and a newline, but the element
+strings go out a chunk at a time instead of all being built first.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ SCHEMA = "apfree-set/1"
 
 _METHODS = ("behrend", "elkin", "exact", "external")
 
+#: Elements write_json formats and writes at a time.
+_JSON_CHUNK = 1 << 12
+
 
 def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     """Codes of k-dimensional integer coordinate sequences or of the rows of an
@@ -42,12 +48,17 @@ def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     # a float would be truncated; past int64 a value is out of range anyway
     if coords.size and coords.dtype.kind not in "iu":
         raise CoordOutOfRange(f"coordinates must be integers, got {coords.dtype}")
-    coords = coords.astype(np.int64, copy=False).reshape(len(vectors), k)
+    coords = coords.reshape(len(vectors), k)
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
     base = radix(y)
-    powers = np.array([base**i for i in range(k)], dtype=int_dtype(base**k))
-    return (coords.astype(powers.dtype, copy=False) @ powers).tolist()
+    # Horner from the last coordinate, one column at a time: no (N, k) copy
+    dtype = int_dtype(base**k)
+    codes = np.zeros(len(coords), dtype=dtype)
+    for j in range(k - 1, -1, -1):
+        codes *= base
+        codes += coords[:, j].astype(dtype, copy=False)
+    return codes.tolist()
 
 
 def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
@@ -109,6 +120,9 @@ class APFreeSet:
         return self.size / self.n
 
     def to_json_dict(self, reproducible: bool = False) -> dict:
+        return self._json_doc(reproducible, [str(e) for e in self.elements])
+
+    def _json_doc(self, reproducible: bool, elements: list[str]) -> dict:
         p = self.params_echo
         doc = {
             "schema": SCHEMA,
@@ -123,15 +137,31 @@ class APFreeSet:
                 "n_effective": str(p.n_effective) if p else None,
             },
             "size": self.size,
-            "elements": [str(e) for e in self.elements],
+            "elements": elements,
         }
         if not reproducible:
             doc["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         return doc
 
     def write_json(self, fh: IO[str], reproducible: bool = False) -> None:
-        json.dump(self.to_json_dict(reproducible), fh, indent=2)
-        fh.write("\n")
+        """json.dump(self.to_json_dict(reproducible), fh, indent=2), then a
+        newline; the elements are written _JSON_CHUNK at a time."""
+        if not self.elements:  # json writes an empty list as []
+            json.dump(self.to_json_dict(reproducible), fh, indent=2)
+            fh.write("\n")
+            return
+        # Two stand-in elements: json's own text before, between and after them.
+        stand_in = "\0"
+        text = json.dumps(self._json_doc(reproducible, [stand_in] * 2), indent=2)
+        head, sep, tail = text.split(json.dumps(stand_in))
+        fh.write(head)
+        for start in range(0, self.size, _JSON_CHUNK):
+            if start:
+                fh.write(sep)
+            # json.dumps(str(e)) of a decimal string is the digits in quotes
+            chunk = self.elements[start : start + _JSON_CHUNK]
+            fh.write(sep.join([f'"{e}"' for e in chunk]))
+        fh.write(tail + "\n")
 
     def write_csv(self, fh: IO[str]) -> None:
         writer = csv.writer(fh)

@@ -19,8 +19,10 @@ witness that can certify it (see enumerate_witnesses).  The annulus size
 comes from the census, so the points the unit witnesses remove number the
 annulus size minus the sub-cube's share of it.
 
-Annulus points and witnesses are (N, k) int64 arrays, and the filter is one
-chunked matrix product of points with witnesses.
+Annulus points are an (N, k) array in shell_points' digit dtype (one byte
+per digit for y <= 256) and witnesses an (M, k) int64 array; the filter is
+one chunked matrix product of the two, which numpy forms in int64, so dot
+products past a byte do not wrap.
 filter_survivors takes any sequence of points and returns its survivors as
 a list of plain int tuples.
 

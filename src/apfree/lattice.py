@@ -13,10 +13,12 @@ with single norms, Elkin with width-g sub-windows); one pick takes the most
 populated tile, from one prefix sum of the census, and builds the selection.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
 of ranks, keeps the ranks whose squared norm lies in the window, and unravels
-those once into an (N, k) int64 array; it can be narrowed to a sub-cube
-[low, y-1]^k by unraveling in base y - low and adding low.  That array is
-the one point type of the pipelines; shell_members gives the same rows as a
-list of plain int tuples for callers that want a Python sequence.
+those once into an (N, k) array of the least dtype that holds y - 1 (one
+byte per digit for y <= 256; the scan's norms are int64); it can be narrowed
+to a sub-cube [low, y-1]^k by unraveling in base y - low and adding low.
+That array is the one point type of the pipelines; shell_members gives the
+same rows as a list of plain int tuples for callers that want a Python
+sequence.
 
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so the integer ends of a window are found in closed form with
@@ -185,7 +187,8 @@ def select_behrend_shell(
     counts is the census from build_histogram.  The norm 0 is skipped: its
     one member, the origin, encodes to 0, outside [1, n].  Ties break toward
     the smallest norm.  The returned selection records the pigeonhole floor
-    (1 - 1/a^2) * y^k / (2*a*sigma + 1), met within float rounding.
+    (1 - 1/a^2) * y^k / (2*a*sigma + 1), met within float rounding; an a so
+    small that this floor passes the float range is refused (ValueError).
     """
     if not 0 < a < math.inf:
         raise ValueError(f"a must be finite and > 0, got {a}")
@@ -195,7 +198,11 @@ def select_behrend_shell(
     norms = np.arange(max(lo, 1), min(hi, len(counts) - 1) + 1)
 
     def floor(total: int) -> tuple[float, float]:
-        bound = float((1 - 1 / a_sq) * total) / (2 * a * moments.sigma_Z + 1)
+        try:  # 1 - 1/a^2 passes the float range for a tiny a
+            bound = float((1 - 1 / a_sq) * total) / (2 * a * moments.sigma_Z + 1)
+        except OverflowError:
+            msg = f"the pigeonhole floor at a = {a} overflows floats"
+            raise ValueError(msg) from None
         return bound, bound - 1e-9
 
     return _best_tile(counts, moments, a, lo, hi, norms, norms, floor)
@@ -233,9 +240,9 @@ def select_elkin_annulus(
     return _best_tile(counts, moments, 2, lo, hi, starts, ends, floor)
 
 
-def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:
+def _unravel(ranks: np.ndarray, k: int, y: int, dtype=np.int64) -> np.ndarray:
     """Cube points of [0, y-1]^k with the given lexicographic ranks, as an array."""
-    coords = np.empty((len(ranks), k), dtype=np.int64)
+    coords = np.empty((len(ranks), k), dtype=dtype)
     for j in range(k - 1, -1, -1):
         ranks, coords[:, j] = np.divmod(ranks, y)
     return coords
@@ -245,7 +252,8 @@ def shell_points(
     k: int, y: int, shell: ShellSelection, budget: int = DEFAULT_BUDGET, low: int = 0
 ) -> np.ndarray:
     """All vectors of the sub-cube [low, y-1]^k with t_low <= ||v||^2 <= t_high,
-    as an (N, k) int64 array with rows in lexicographic order.
+    as an (N, k) array with rows in lexicographic order, in the least dtype
+    that holds y - 1 (np.min_scalar_type: uint8 for y <= 256).
 
     low = 0 (the default) scans the whole cube; low >= y gives shape (0, k).
     The budget check is on the whole cube, y^k, whatever low is.
@@ -259,6 +267,7 @@ def shell_points(
     first = max(min(y - 1, math.isqrt(max(t_high, 0))) - low + 1, 0)
     stop = first * side ** (k - 1)
     # Keep 1-D ranks per chunk, not rows: many small row blocks fragment the heap.
+    # Chunks and their norms are int64: squares would wrap in the digit dtype.
     kept = [np.empty(0, dtype=np.int64)]
     for start in range(0, stop, _CHUNK):
         coords = _unravel(np.arange(start, min(start + _CHUNK, stop), dtype=np.int64),
@@ -267,8 +276,9 @@ def shell_points(
             coords += low
         norms = np.einsum("ij,ij->i", coords, coords)
         kept.append(np.flatnonzero((norms >= t_low) & (norms <= t_high)) + start)
-    points = _unravel(np.concatenate(kept), k, side)
-    points += low
+    points = _unravel(np.concatenate(kept), k, side, np.min_scalar_type(y - 1))
+    if len(points):  # with no row low may be y or more, past that dtype
+        points += low
     return points
 
 

@@ -147,6 +147,16 @@ class TestConstruct:
         assert code == 1 and stdout == ""
         assert refusal in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--method", "behrend", "--k", "3", "--y", "5", "--a", "1e-300"],
+        ["sweep", "--method", "behrend", "--k-range", "3:3", "--y-range", "5:5",
+         "--a", "1e-300", "--out", "unused.csv"],
+    ], ids=["construct", "sweep"])
+    def test_a_too_small_for_a_float_floor_exits_1(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr == "error: the pigeonhole floor at a = 1e-300 overflows floats\n"
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["construct"])  # --method missing

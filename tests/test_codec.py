@@ -3,14 +3,17 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apfree
+from apfree import codec
 from apfree.codec import (
+    _JSON_CHUNK,
     APFreeSet,
     decode_all,
     encode_all,
@@ -112,6 +115,17 @@ class TestDecode:
         assert np.array_equal(decode_all(codes, k, y), coords)
         assert encode_all(np.empty((0, k), dtype=np.int64), y, k) == []
         assert decode_all([], k, y).shape == (0, k)
+
+    @pytest.mark.parametrize("k,y", [(9, 3), (27, 4), (6, 256), (7, 256), (30, 2),
+                                     (31, 2)])
+    def test_digit_dtype_does_not_change_the_codes(self, k, y):
+        # 6^9, 512^6 and 4^30 take the int64 path; 8^27, 512^7 and 4^31 do not.
+        rng = np.random.default_rng(k * y)
+        coords = rng.integers(0, y, size=(50, k))
+        coords[0] = y - 1
+        expected = [_code(row, y) for row in coords]
+        for dtype in (np.uint8, np.uint16, np.int64):
+            assert encode_all(coords.astype(dtype), y, k) == expected, dtype
 
     @pytest.mark.parametrize("k,y", [(9, 3), (27, 4)])
     def test_bulk_decode_rejects_non_codes(self, k, y):
@@ -223,6 +237,46 @@ class TestAPFreeSet:
         buf = io.StringIO()
         s.write_json(buf, reproducible=True)
         assert read_set(io.StringIO(buf.getvalue())).elements == (1, big)
+
+    @given(
+        size=st.sampled_from([0, 1, _JSON_CHUNK - 1, _JSON_CHUNK, _JSON_CHUNK + 1]),
+        first=st.integers(min_value=1, max_value=2**70),
+        step=st.integers(min_value=1, max_value=2**70),
+        method=st.sampled_from(["behrend", "elkin", "exact", "external"]),
+        with_params=st.booleans(),
+        reproducible=st.booleans(),
+    )
+    @example(size=_JSON_CHUNK + 1, first=2**64 - 5, step=3, method="behrend",
+             with_params=True, reproducible=False)  # codes on both sides of 2^64
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_json_equals_json_dump(self, size, first, step, method,
+                                            with_params, reproducible):
+        elements = tuple(range(first, first + size * step, step))
+        n = first + size * step + 36  # params need n >= (2y)^k = 36
+        params = ConstructionParams(n=n, k=2, y=3, a=2.5, g=2) if with_params else None
+        s = APFreeSet(n=n, elements=elements, method=method, params_echo=params)
+        frozen = time.gmtime(1234567890)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec.time, "gmtime", lambda *args: frozen)
+            buf = io.StringIO()
+            s.write_json(buf, reproducible=reproducible)
+            expected = json.dumps(s.to_json_dict(reproducible), indent=2) + "\n"
+        assert buf.getvalue() == expected
+
+    def test_json_write_does_not_hold_every_element_string(self, tmp_path):
+        # 160,000 ten-digit codes, about the 2^32 Behrend set: json.dump of
+        # to_json_dict peaks at 10.7 MB here, the streamed writer at 0.4 MB.
+        n = 2**32
+        s = APFreeSet(n=n, elements=tuple(range(n - 160_000 * 26_000, n, 26_000)),
+                      method="external")
+        with open(tmp_path / "set.json", "w", encoding="utf-8", newline="") as fh:
+            tracemalloc.start()
+            try:
+                s.write_json(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_csv_export(self):
         s = APFreeSet(n=36, elements=(1, 6), method="behrend")

@@ -18,7 +18,7 @@ from apfree.elkin import (
     filter_survivors,
 )
 from apfree.errors import BudgetExceeded
-from apfree.lattice import shell_members
+from apfree.lattice import shell_members, shell_points
 from apfree.numeric import ConstructionParams, eta, resolve_params
 from apfree.verify import convexly_independent, midpoint_free
 
@@ -304,6 +304,26 @@ class TestConstructElkin:
                     pure = [min(d) >= 0 or max(d) <= 0 for d in deltas]
                     assert not certified[:, pure].any(), (k, y, g)
                     assert (uncertified(cube, half, g) == ~certified.any(axis=1)).all()
+
+    @pytest.mark.parametrize("k,y,g", [(3, 100, 9), (3, 150, 6)])
+    def test_byte_rows_equal_int64_rows(self, monkeypatch, k, y, g):
+        # Certificate dot products pass 255 here (up to 267 and 334), so a
+        # product formed in the rows' own byte dtype would wrap.
+        params = params_for(k, y, g)
+        byte_art = construct_elkin(params)
+        rows = []
+
+        def int64_points(*args, **kw):
+            rows.append(shell_points(*args, **kw))
+            return rows[-1].astype(np.int64)
+
+        monkeypatch.setattr(elkin, "shell_points", int64_points)
+        assert construct_elkin(params) == byte_art
+        assert rows[0].dtype == np.uint8 and byte_art.set.size > 0
+        witnesses = enumerate_witnesses(k, g)
+        half = witnesses[len(witnesses) // 2 :]
+        tested = half[(half < 0).any(axis=1)]  # the rows construct_elkin tests
+        assert np.abs(rows[0].astype(np.int64) @ tested.T).max() > 255
 
     def test_empty_when_y_leaves_no_room_for_gaps_above_g(self):
         # For g >= 2 the witnesses e_i - e_j force k distinct coordinates in
