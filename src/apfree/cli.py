@@ -49,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
 
 
 def _add_knobs(p: argparse.ArgumentParser) -> None:
-    # Unset knobs stay None; numeric.resolve_params fills in the defaults.
+    # Unset knobs stay None and keep the ConstructionParams defaults.
     p.add_argument("--a", type=float, help="Chebyshev multiplier")
     p.add_argument("--epsilon", type=float, help="annulus width ratio")
     p.add_argument("--g", type=int, help="annulus squared-width")
@@ -124,32 +124,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args) -> ConstructionParams:
-    explicit = args.k is not None or args.y is not None
-    if (args.n is None) == (not explicit):
+def _params(args, n=None, k=None, y=None) -> ConstructionParams:
+    """numeric.resolve_params from n, or for the cube [0, y-1]^k, whose
+    enumeration budget is checked first, before its bound n is formed."""
+    if (n is None) == (k is None and y is None):
         raise ValueError("give exactly one of --n or (--k and --y)")
-    if not explicit:
-        return numeric.resolve_params(args.method, args.n, a=args.a,
-                                      epsilon=args.epsilon, g=args.g)
-    if args.k is None or args.y is None:
-        raise ValueError("--k and --y must be given together")
-    return _cube_params(args, args.k, args.y)
-
-
-def _cube_params(args, k: int, y: int) -> ConstructionParams:
-    """The parameters of the cube [0, y-1]^k with n = radix(y)^k, refused by
-    the enumeration budget and by radix itself before that power is formed."""
-    lattice.check_enumeration_budget(k, y, args.budget)
-    return numeric.resolve_params(
-        args.method, numeric.radix(y) ** k, k, y, args.a, args.epsilon, args.g
-    )
+    if n is None:
+        if k is None or y is None:
+            raise ValueError("--k and --y must be given together")
+        lattice.check_enumeration_budget(k, y, args.budget)
+    return numeric.resolve_params(args.method, n, k, y, args.a, args.epsilon, args.g)
 
 
 _CONSTRUCT = {"behrend": behrend.construct_behrend, "elkin": elkin.construct_elkin}
 
 
 def cmd_construct(args) -> int:
-    params = _resolve_params(args)
+    params = _params(args, args.n, args.k, args.y)
     artifact = _CONSTRUCT[args.method](params, budget=args.budget)
     apset, shell = artifact.set, artifact.shell
     if args.out:
@@ -186,7 +177,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in k_range:
         for y in y_range:
-            params = _cube_params(args, k, y)
+            params = _params(args, k=k, y=y)
             n = params.n
             art = _CONSTRUCT[args.method](params, budget=args.budget)
             fraction = art.survivor_fraction if args.method == "elkin" else ""

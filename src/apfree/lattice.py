@@ -40,7 +40,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyWindow
-from .numeric import MomentSummary, ball_volume, int_dtype
+from .numeric import MomentSummary, ball_volume, exceeds, int_dtype
 
 #: Rows unraveled per scan step; measured faster than larger chunks (cache-sized).
 _CHUNK = 1 << 14
@@ -64,17 +64,19 @@ class ShellSelection:
 
 def check_enumeration_budget(k: int, y: int, budget: int) -> None:
     """Refuse an enumeration of the cube [0, y-1]^k when y^k exceeds budget."""
-    low = k * (y.bit_length() - 1)  # y^k >= 2^low, known before y^k is formed
-    if low >= budget.bit_length():
-        raise BudgetExceeded(f"y^k >= 2^{low} exceeds the enumeration budget {budget}")
-    if y**k > budget:
-        raise BudgetExceeded(f"y^k = {y**k} exceeds the enumeration budget {budget}")
+    if exceeds(y, k, budget):
+        raise BudgetExceeded(f"y^k = {y}^{k} exceeds the enumeration budget {budget}")
 
 
 #: Norm-DP cells one round's fixed cost is priced as: a round (an array copy
 #: and its slice-adds) takes 3-5 us however few cells it touches, and an int64
 #: cell about 1.0-1.4 ns (histogram --k 2 --y 400); 2-core Xeon VM, Python 3.11.
 _ROUND_CELLS = 2500
+
+#: Int64 cells one object-dtype (Python int) cell is priced as: 48-72 ns
+#: against 1.1-1.8 ns, at (15, 50), (20, 9) and (30, 5) against (2, 400) and
+#: (3, 120); counts of many digits cost more (163 ns at (7000, 2)).  Same VM.
+_OBJECT_CELL = 40
 
 
 def _norm_counts(
@@ -88,17 +90,23 @@ def _norm_counts(
     Python ints (object dtype) otherwise.  Before round j, h is zero above
     j * top^2, so that round reads only h[:reach_j].  A round also copies all
     length cells and costs _ROUND_CELLS more: the work sum(reach_j) * top +
-    rounds * (length + _ROUND_CELLS) is checked, in closed form, first.
+    rounds * (length + _ROUND_CELLS) is checked, in closed form, first, with
+    the cells weighted by _OBJECT_CELL when the counts are Python ints.
     """
     sq_top = top * top
     # reach_j = j * sq_top + 1 for the first `short` rounds, length after them
     short = rounds if sq_top == 0 else min(rounds, (length - 1) // sq_top + 1)
     reach_sum = short + sq_top * short * (short - 1) // 2 + (rounds - short) * length
-    work = reach_sum * top + rounds * (length + _ROUND_CELLS)
+    cells = reach_sum * top + rounds * length
+    work = cells + rounds * _ROUND_CELLS
+    if work <= budget:  # rounds is bounded now, so the vector count is cheap
+        vectors = (top + 1) ** (rounds - two_sided) * (2 * top + 1) ** two_sided
+        dtype = int_dtype(vectors)
+        if dtype is object:
+            work += (_OBJECT_CELL - 1) * cells
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
-    vectors = (top + 1) ** (rounds - two_sided) * (2 * top + 1) ** two_sided
-    h = np.zeros(length, dtype=int_dtype(vectors))
+    h = np.zeros(length, dtype=dtype)
     h[0] = 1
     for j in range(rounds):
         w = 1 if j < rounds - two_sided else 2

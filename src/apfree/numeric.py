@@ -3,9 +3,9 @@
 Everything that is a closed formula lives here: ball volumes with an exact
 Gamma factor, the exact first two moments of the squared norm of a uniform
 random cube vector, the witness-count exponent eta(epsilon), the classical
-and improved density comparators, the digit map's radix, and a run's
-parameters: (k, y) derived from a target interval bound n, and the knobs
-resolved once for both methods.
+and improved density comparators, the digit map's radix, its fit test and
+the power guard beneath it, and a run's parameters: (k, y) derived from a
+target interval bound n, and the knobs resolved once for both methods.
 
 Moments are kept as exact rationals.  For Y uniform on {0..y-1}:
 
@@ -106,7 +106,7 @@ def radix(y: int) -> int:
     """The base of the digit map, 2y, for the cube [0, y-1]^k.
 
     A point's code is sum_i v_i * radix(y)^i, its k coordinates as
-    little-endian digits, and the cube fits n iff radix(y)^k <= n.  Digits
+    little-endian digits; fits decides whether the codes lie in [1, n].  Digits
     below y add without carries in any base of at least 2y - 1, so codes
     a + c = 2b iff points a + c = 2b, coordinate by coordinate (Behrend's
     map).  y < 2 is refused here, before any power of the radix is formed.
@@ -116,17 +116,27 @@ def radix(y: int) -> int:
     return 2 * y
 
 
+def exceeds(base: int, k: int, bound: int) -> bool:
+    """base^k > bound, for base >= 0 and k >= 0.  From bit lengths first:
+    base^k >= 2^(k (bits(base) - 1)), so no power is formed past about bound^2."""
+    return k * (base.bit_length() - 1) >= bound.bit_length() or base**k > bound
+
+
+def fits(n: int, k: int, y: int) -> bool:
+    """The one fit test: the codes of [0, y-1]^k lie in [1, n] iff radix(y)^k <= n."""
+    return not exceeds(radix(y), k, n)
+
+
 def max_side(n: int, k: int) -> int:
-    """The largest y with radix(y)^k <= n, exact for arbitrary-precision
-    n >= 2 and k >= 2: half the integer k-th root of n."""
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
+    """The largest y with fits(n, k, y), exact for any n >= 2 and k >= 2; below
+    the least side 2 the rule reads (2y)^k <= n: 1 if 2^k <= n, else 0."""
+    if not fits(n, k, 2):
+        return int(not exceeds(2, k, n))
+    lo, hi = 2, 1 << (n.bit_length() // k + 1)  # radix(hi)^k >= hi^k > n
     while lo < hi - 1:
         mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo // 2
+        lo, hi = (mid, hi) if fits(n, k, mid) else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,7 @@ class ConstructionParams:
     """Parameters governing one construction run.
 
     n is the target interval bound (arbitrary precision), k the dimension,
-    y the cube side, whose codes must fit: radix(y)^k <= n.  a is the
+    y the cube side, whose codes must fit: fits(n, k, y).  a is the
     Chebyshev multiplier of the sphere-shell method; epsilon and g drive the
     annulus method.  g is None until derived or overridden.
     """
@@ -149,11 +159,9 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DegenerateParameters(f"k must be >= 1, got {self.k}")
-        # base^k >= 2^(k (bits(base) - 1)): a huge k fails before the power is formed
-        base = radix(self.y)
-        if (self.k * (base.bit_length() - 1) > self.n.bit_length()
-                or self.n_effective > self.n):
-            raise DegenerateParameters(f"(2y)^k = {base}^{self.k} exceeds n = {self.n}")
+        if not fits(self.n, self.k, self.y):
+            raise DegenerateParameters(
+                f"(2y)^k = {radix(self.y)}^{self.k} exceeds n = {self.n}")
         if not 0 < self.a < math.inf:
             raise DegenerateParameters(f"a must be finite and > 0, got {self.a}")
         if not 0 < self.epsilon < math.inf:
@@ -194,14 +202,15 @@ def derive_dimension(n: int) -> int:
 
 
 def resolve_params(
-    method: str, n: int, k: int | None = None, y: int | None = None,
+    method: str, n: int | None = None, k: int | None = None, y: int | None = None,
     a: float | None = None, epsilon: float | None = None, g: int | None = None,
 ) -> ConstructionParams:
     """The parameters of one run, for both methods and every caller.
 
     Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and
-    y = max_side(n, k), DegenerateParameters if y < 2.  A knob left at
-    None takes its default; the annulus method carries g = effective_g().
+    y = max_side(n, k), DegenerateParameters if y < 2; with them n defaults
+    to the cube's own bound n_effective.  Unset knobs keep their field
+    defaults; the annulus method carries g = effective_g().
     """
     method = method.lower()
     if method not in ("behrend", "elkin"):
@@ -211,11 +220,11 @@ def resolve_params(
         y = max_side(n, k)
         if y < 2:
             raise DegenerateParameters(f"n = {n} gives k = {k}, y = {y} < 2")
+    elif n is None:
+        n = radix(y) ** k
+    knobs = {"a": a, "epsilon": epsilon, "g": g}
     params = ConstructionParams(
-        n=n, k=k, y=y, g=g,
-        a=DEFAULT_CHEBYSHEV_A if a is None else a,
-        epsilon=DEFAULT_EPSILON if epsilon is None else epsilon,
-    )
+        n, k, y, **{key: value for key, value in knobs.items() if value is not None})
     if method == "elkin" and params.g is None:
         params = replace(params, g=params.effective_g())
     return params
@@ -226,9 +235,17 @@ def default_params(n: int, method: str) -> ConstructionParams:
     return resolve_params(method, n)
 
 
-def _bound_exponent(n: int) -> tuple[float, float]:
+def _comparator(n: int, quarter_sign: int) -> float:
+    """2^(log2 n - 2 sqrt(2) sqrt(log2 n) + quarter_sign * log2(log2 n) / 4),
+    or inf once that passes the float range (from n = 2^1116 or so)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     log_n = math.log2(n)
-    return log_n - 2 * math.sqrt(2) * math.sqrt(log_n), 0.25 * math.log2(log_n)
+    base = log_n - 2 * math.sqrt(2) * math.sqrt(log_n)
+    try:
+        return 2.0 ** (base + quarter_sign * 0.25 * math.log2(log_n))
+    except OverflowError:
+        return math.inf
 
 
 def behrend_bound(n: int) -> float:
@@ -236,15 +253,9 @@ def behrend_bound(n: int) -> float:
 
     The implied constant is taken as 1; this is a yardstick, not a guarantee.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    base, quarter_log = _bound_exponent(n)
-    return 2.0 ** (base - quarter_log)
+    return _comparator(n, -1)
 
 
 def elkin_bound(n: int) -> float:
     """n * (log2 n)^(1/4) / 2^(2 sqrt(2) sqrt(log2 n)), the improved comparator."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    base, quarter_log = _bound_exponent(n)
-    return 2.0 ** (base + quarter_log)
+    return _comparator(n, 1)

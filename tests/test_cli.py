@@ -369,6 +369,19 @@ class TestSweep:
         assert code == 1 and stdout == "" and not out.exists()
         assert f"range {empty!r} is empty" in stderr
 
+    def test_n_past_the_float_range_writes_inf_comparators(self, capsys, tmp_path):
+        # n = 4^600: the sub-cube [31, 1]^600 is empty, and the comparators
+        # 2^(log2 n - ...) pass the float range
+        out = tmp_path / "s.csv"
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "sweep", "--method", "elkin", "--k-range", "600:600",
+                         "--y-range", "2:2", "--budget", str(10**200), "--out", str(out))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][2] == str(4**600)
+        assert rows[1][5:] == ["0", "0.0", "inf", "inf", "0.0"]
+
     def test_behrend_leaves_fraction_blank(self, capsys, tmp_path):
         out = tmp_path / "sweep_b.csv"
         run(capsys, "sweep", "--method", "behrend", "--k-range", "2:2",
@@ -503,6 +516,20 @@ class TestHistogram:
         brute = Counter(a + b for a in squares for b in squares)
         expected = "".join(f"{t},{brute[t]}\n" for t in sorted(brute))
         assert stdout == "norm_sq,count\n" + expected
+
+    def test_k12_y20_answers_at_the_default_budget(self, capsys):
+        code, stdout, _ = run(capsys, "histogram", "--k", "12", "--y", "20")
+        assert code == 0
+        assert sum(int(row.split(",")[1]) for row in stdout.split()[1:]) == 20**12
+
+    def test_python_int_cells_are_priced_at_their_cost(self, capsys):
+        # 73.5M cells and 7000 rounds fit the default budget as int64 ones, but
+        # the counts reach 2^7000, and as object cells they take 8-12 s
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "histogram", "--k", "7000", "--y", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and stdout == ""
+        assert "norm-count work" in stderr
 
     def test_negative_budget_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

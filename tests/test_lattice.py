@@ -493,12 +493,18 @@ class TestEnumerationBudget:
     @example(8, 10, 10**8)
     @example(27, 2, 10**8)
     @example(2, 10, 99)  # 100 > 99 though 6 bits < 7: only the exact test refuses
+    @example(10**9, 2, 10**8)  # refused from bit lengths: 2^(10^9) takes 10 s to form
+    @example(10**9, 1, 10**8)  # 1^(10^9) = 1 is admitted
     def test_refuses_exactly_when_y_to_the_k_exceeds_budget(self, k, y, budget):
-        if y**k > budget:
+        # y >= 2 and k >= bits(budget) give y^k >= 2^k > budget; else y^k is small
+        refused = (y >= 2 and k >= budget.bit_length()) or y**k > budget
+        start = time.perf_counter()
+        if refused:
             with pytest.raises(BudgetExceeded, match="enumeration budget"):
                 check_enumeration_budget(k, y, budget)
         else:
             check_enumeration_budget(k, y, budget)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestShellMembers:

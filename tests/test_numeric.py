@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree.errors import DegenerateParameters
@@ -20,6 +20,9 @@ from apfree.numeric import (
     eta,
     exact_moments,
     feasibility_gap,
+    max_side,
+    radix,
+    resolve_params,
 )
 
 class TestBallVolume:
@@ -189,6 +192,33 @@ class TestDefaultParams:
         with pytest.raises(ValueError):
             default_params(2**32, "rankin")
 
+    @given(st.sampled_from(["behrend", "elkin"]), st.integers(1, 30), st.integers(2, 60),
+           st.none() | st.floats(0.5, 4.0), st.none() | st.floats(0.01, 0.05),
+           st.none() | st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_explicit_cube_takes_its_own_bound(self, method, k, y, a, epsilon, g):
+        expected = resolve_params(method, radix(y) ** k, k, y, a, epsilon, g)
+        got = resolve_params(method, k=k, y=y, a=a, epsilon=epsilon, g=g)
+        assert got == expected and got.n == got.n_effective == (2 * y) ** k
+
+
+class TestMaxSide:
+    @given(st.integers(2, 2**4000), st.integers(2, 200))
+    @example(2, 2)
+    @example(3, 2)
+    @example(4, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_largest_side_whose_cube_fits(self, n, k):
+        y = max_side(n, k)  # below y = 2 the rule reads (2y)^k <= n
+        assert (2 * y) ** k <= n < (2 * y + 2) ** k
+
+    @given(st.integers(2, 300), st.integers(2, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_boundaries(self, y, k):
+        edge = radix(y) ** k
+        assert max_side(edge, k) == y
+        assert max_side(edge - 1, k) == y - 1
+
 
 class TestConstructionParams:
     def test_rejects_oversized_cube(self):
@@ -201,9 +231,12 @@ class TestConstructionParams:
                 ConstructionParams(n=n - 1, k=k, y=y)
 
     def test_rejects_huge_k_from_bit_lengths(self):
-        # (2y)^k would have 2e8 bits; the message names its base and exponent
+        # (2y)^k would have 2e8 bits, about 2 s to form; the message names its
+        # base and exponent
+        start = time.perf_counter()
         with pytest.raises(DegenerateParameters, match=r"\(2y\)\^k = 4\^100000000 exceeds"):
             ConstructionParams(n=2**40, k=10**8, y=2)
+        assert time.perf_counter() - start < 0.5
         assert ConstructionParams(n=4**20, k=20, y=2).n_effective == 4**20
 
     def test_rejects_small_y(self):
@@ -242,6 +275,11 @@ class TestBounds:
         assert behrend_bound(2**16) == pytest.approx(12.87313472917938699, rel=1e-13)
         assert elkin_bound(2**16) == pytest.approx(51.492538916717547961, rel=1e-13)
         assert behrend_bound(2) == pytest.approx(0.28157143265634893, rel=1e-13)
+
+    def test_past_the_float_range_is_inf(self):
+        assert math.isfinite(behrend_bound(2**1100)) and math.isfinite(elkin_bound(2**1100))
+        for n in (2**1200, 4**600, 10**10000):
+            assert behrend_bound(n) == elkin_bound(n) == math.inf
 
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,8 @@ def test_density_sweep(tmp_path):
     proc = run_script("density_sweep.py", "--exponents", "12:16:4", "--out", "d.csv",
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader((tmp_path / "d.csv").open()))
+    with (tmp_path / "d.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [(r["e"], r["method"]) for r in rows] == [
         ("12", "behrend"), ("12", "elkin"), ("16", "behrend"), ("16", "elkin")]
     # the derived (5, 2) and (6, 3) shells; g = 1 empties both annuli
@@ -40,7 +41,8 @@ def test_discrepancy_lab(tmp_path):
     # one line per (k, m): m = 1 and m = k + 1
     assert [line.split()[:2] for line in summary[1:5]] == [
         ["2", "1"], ["2", "3"], ["3", "1"], ["3", "4"]]
-    rows = list(csv.DictReader((tmp_path / "lab.csv").open()))
+    with (tmp_path / "lab.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     grid = sorted({int(r["t"]) for r in rows})
     assert grid[0] == 10 and grid[-1] == 100
     assert len(rows) == 4 * len(grid)
