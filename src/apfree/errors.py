@@ -2,7 +2,7 @@
 
 #: Default budget of every priced stage, in the work that stage does: cube
 #: points, norm-DP cells, witness cells, certificate dot products, verify's
-#: pairs or lookups, and the convex check's pairs times points.
+#: pairs or lookups, and the convex check's difference cells.
 DEFAULT_BUDGET = 10**8
 
 

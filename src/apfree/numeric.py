@@ -19,6 +19,7 @@ var_Z = k*(E[Y^4] - E[Y^2]^2) exactly.  Logarithms are base 2 throughout.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -146,7 +147,8 @@ class ConstructionParams:
     n is the target interval bound (arbitrary precision), k the dimension,
     y the cube side, whose codes must fit: fits(n, k, y).  a is the
     Chebyshev multiplier of the sphere-shell method; epsilon and g drive the
-    annulus method.  g is None until derived or overridden.
+    annulus method.  g is None until derived or overridden.  n, k, y and g
+    are integers, numpy ones kept as int; a float or a bool is refused.
     """
 
     n: int
@@ -157,6 +159,14 @@ class ConstructionParams:
     g: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "y", "g"):
+            value = getattr(self, name)
+            if name == "g" and value is None:
+                continue
+            # a float would be truncated or reach the pipeline; a bool is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DegenerateParameters(f"{name} must be an integer, got {value!r:.40}")
+            object.__setattr__(self, name, int(value))  # numpy integers too
         if self.k < 1:
             raise DegenerateParameters(f"k must be >= 1, got {self.k}")
         if not fits(self.n, self.k, self.y):
@@ -209,13 +219,16 @@ def resolve_params(
 
     Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and
     y = max_side(n, k), DegenerateParameters if y < 2; with them n defaults
-    to the cube's own bound n_effective.  Unset knobs keep their field
-    defaults; the annulus method carries g = effective_g().
+    to the cube's own bound n_effective.  One of them alone is a ValueError.
+    Unset knobs keep their field defaults; the annulus method carries
+    g = effective_g().
     """
     method = method.lower()
     if method not in ("behrend", "elkin"):
         raise ValueError(f"unknown method {method!r}")
-    if k is None or y is None:
+    if (k is None) != (y is None):
+        raise ValueError(f"k and y must be given together, got k={k}, y={y}")
+    if k is None:
         k = derive_dimension(n)
         y = max_side(n, k)
         if y < 2:

@@ -11,7 +11,7 @@ from apfree.behrend import construct_behrend
 from apfree.codec import decode_all
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import _window_ends, shell_members
-from apfree.numeric import ConstructionParams, exact_moments
+from apfree.numeric import ConstructionParams, exact_moments, resolve_params
 from apfree.verify import convexly_independent, midpoint_free
 
 from test_lattice import brute_histogram
@@ -85,12 +85,18 @@ class TestConstructBehrend:
         assert convexly_independent(points_of(art))
 
     def test_shell_near_the_convex_check_limit_within_a_wall_clock_bound(self):
-        # 525 points price about 7.2e7 of the 1e8 pair-point tests the default
-        # budget admits (585 points); about 9 s on a 2-core VM
-        art = construct_behrend(params_for(6, 5))
+        # 5,990 points of (5, 19) price C(5990, 2) * 5 = 89,685,275 of the 1e8
+        # difference cells the default budget admits; about 10 s on a 2-core VM
+        art = construct_behrend(params_for(5, 19))
         start = time.perf_counter()
         assert convexly_independent(points_of(art))
-        assert art.set.size == 525 and time.perf_counter() - start < 30.0
+        assert art.set.size == 5990 and time.perf_counter() - start < 30.0
+
+    def test_2_26_reference_set_is_convexly_independent_at_the_default_budget(self):
+        # 3,088 points in k = 8 price C(3088, 2) * 8 = 38,130,624 difference cells
+        art = construct_behrend(resolve_params("behrend", 2**26))
+        assert art.set.size == 3088 and art.params.k == 8
+        assert convexly_independent(points_of(art))
 
     def test_size_guarantee(self):
         for k in (2, 3, 4):

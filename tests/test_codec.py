@@ -226,6 +226,13 @@ class TestAPFreeSet:
         assert set_from_json_dict(doc).params_echo is None
         assert time.perf_counter() - start < 1.0
 
+    def test_read_ignores_a_non_integer_width(self):
+        doc = {"schema": "apfree-set/1", "n": "4096", "elements": ["1"], "k": 3, "y": 8,
+               "params": {"g": 1}}
+        assert set_from_json_dict(doc).params_echo == ConstructionParams(4096, 3, 8, g=1)
+        doc["params"]["g"] = 1.5
+        assert set_from_json_dict(doc).params_echo is None
+
     def test_timestamp_only_when_not_reproducible(self):
         s = APFreeSet(n=10, elements=(1, 2), method="exact")
         assert "created" in s.to_json_dict(reproducible=False)

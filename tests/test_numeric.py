@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,13 @@ class TestDefaultParams:
         got = resolve_params(method, k=k, y=y, a=a, epsilon=epsilon, g=g)
         assert got == expected and got.n == got.n_effective == (2 * y) ** k
 
+    def test_lone_k_or_y_is_refused(self):
+        for kw in ({"k": 3}, {"y": 3}):
+            with pytest.raises(ValueError, match="k and y must be given together"):
+                resolve_params("behrend", 2**20, **kw)
+            with pytest.raises(ValueError, match="k and y must be given together"):
+                resolve_params("behrend", **kw)
+
 
 class TestMaxSide:
     @given(st.integers(2, 2**4000), st.integers(2, 200))
@@ -238,6 +246,20 @@ class TestConstructionParams:
             ConstructionParams(n=2**40, k=10**8, y=2)
         assert time.perf_counter() - start < 0.5
         assert ConstructionParams(n=4**20, k=20, y=2).n_effective == 4**20
+
+    @pytest.mark.parametrize("args, kw", [
+        ((2.0**20, 3, 4), {}), ((4096, 3.0, 8), {}), ((4096, 3, 8.0), {}),
+        ((4096, 3, 8), {"g": 1.5}), ((4096, True, 8), {}), ((4096, 3, 8), {"g": True}),
+        (("4096", 3, 8), {}),
+    ])
+    def test_rejects_non_integer_counts(self, args, kw):
+        with pytest.raises(DegenerateParameters, match=r"^[nkyg] must be an integer"):
+            ConstructionParams(*args, **kw)
+
+    def test_numpy_integers_are_kept_as_int(self):
+        p = ConstructionParams(np.int64(4096), np.int32(3), np.uint8(8), g=np.int64(1))
+        assert p == ConstructionParams(4096, 3, 8, g=1)
+        assert all(type(v) is int for v in (p.n, p.k, p.y, p.g))
 
     def test_rejects_small_y(self):
         with pytest.raises(DegenerateParameters):

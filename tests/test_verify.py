@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import verify
@@ -401,16 +401,27 @@ class TestConvexlyIndependent:
         assert convexly_independent(pts)
         assert time.perf_counter() - start < 3.0
 
-    def test_default_budget_refuses_one_point_past_its_limit_at_once(self):
-        # 585 points price C(585, 2) * 585 = 99,929,700 pair-point tests and 586
-        # price 100,443,330; duplicates end the admitted call before any pair
+    def test_default_budget_refuses_one_point_past_its_limit_at_once(self, monkeypatch):
+        # 10,000 planar points price C(10000, 2) * 2 = 99,990,000 difference
+        # cells and 10,001 price 100,010,000; duplicates end the admitted call
+        # and the refused one stops, both before any array is built
+        def tripwire(*args, **kwargs):
+            raise AssertionError("np.array called")
+
+        monkeypatch.setattr(np, "array", tripwire)
         start = time.perf_counter()
-        assert not convexly_independent([(0, 0)] * 585)
-        with pytest.raises(BudgetExceeded, match="100443330 pair-point tests"):
-            convexly_independent([(0, 0)] * 586)
+        assert not convexly_independent([(0, 0)] * 10000)
+        with pytest.raises(BudgetExceeded, match="100010000 difference cells"):
+            convexly_independent([(0, 0)] * 10001)
         assert time.perf_counter() - start < 0.1
 
     @given(point_lists())
+    # k = 1: any three distinct points are dependent, also when the first
+    # listed is the middle one, whose differences to the others have opposite signs
+    @example([(1,), (0,), (2,)])
+    @example([(0,), (-3,), (5,)])
+    @example([(2**70,), (-(2**70),), (2**71,)])
+    @example([(-5,), (2**70,)])
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_exact_oracle(self, pts):
         expect = len(set(pts)) == len(pts) and _convexly_independent_exact(pts)
