@@ -1,12 +1,9 @@
 """The discrete cube [0, y-1]^k: norm census, shell selection, point counting.
 
-The squared-norm census and the capped-ball counts come from one exact
-shift-add dynamic program over the squared norm: each coordinate adds
-w * h[s - a^2] to h[s] for a = 1..top, so after k rounds h is the k-fold
-convolution of the one-coordinate histogram, the same census an explicit
-enumeration would produce.  A census round reads only the norms the earlier
-rounds can reach, about k^2 * y^3 / 2 cells in all, plus one copy of the
-k(y-1)^2 + 1 cells per round; not y^k.
+The census, the capped-ball counts (alpha_i >= 0 for i >= m; a prefix sum,
+which commutes with the shift-adds) and Elkin's witness count come from one
+exact shift-add DP over the squared norm: each coordinate is a range of
+digits, whose squares a round adds, reading only the norms earlier rounds reach.
 The census is one dense array, counts[t] for t = 0..k(y-1)^2, from the DP
 through selection to the CSV.  Both selections tile their window (Behrend
 with single norms, Elkin with width-g sub-windows); one pick takes the most
@@ -23,18 +20,16 @@ sequence.
 Window ends are irrational (mu +- a*sigma with sigma a square root of a
 rational), so the integer ends of a window are found in closed form with
 math.isqrt, never through a float.
-
-Counting lattice points in capped balls (alpha_i >= 0 for i >= m) runs the
-same program and takes the prefix sum of its result, which commutes with the
-linear shift-adds; the work is O(k * t * sqrt(t)) whatever the count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -80,43 +75,48 @@ _OBJECT_CELL = 40
 
 
 def _norm_counts(
-    length: int, top: int, rounds: int, two_sided: int, budget: int
+    length: int, kinds: Sequence[tuple[range, int]], budget: int
 ) -> np.ndarray:
     """h[s] = vectors of squared norm s, for s < length.
 
-    One shift-add round per coordinate: the first rounds - two_sided
-    coordinates take 0..top, the last two_sided take -top..top (weight 2 on
-    1..top).  Counts are int64 while the number of vectors is below 2^62,
-    Python ints (object dtype) otherwise.  Before round j, h is zero above
-    j * top^2, so that round reads only h[:reach_j].  A round also copies all
-    length cells and costs _ROUND_CELLS more: the work sum(reach_j) * top +
-    rounds * (length + _ROUND_CELLS) is checked, in closed form, first, with
-    the cells weighted by _OBJECT_CELL when the counts are Python ints.
+    kinds are (digits, rounds): rounds coordinates over the nonempty step-1
+    range digits.  Counts are int64 below 2^62 vectors, else Python ints
+    (object dtype).  A round reads h[:reach] per nonzero square, reach being
+    1 + the earlier rounds' largest squares, copies all length cells and
+    costs _ROUND_CELLS more; that work is summed from the ranges' ends and
+    checked first, its cells weighted by _OBJECT_CELL for Python ints.
     """
-    sq_top = top * top
-    # reach_j = j * sq_top + 1 for the first `short` rounds, length after them
-    short = rounds if sq_top == 0 else min(rounds, (length - 1) // sq_top + 1)
-    reach_sum = short + sq_top * short * (short - 1) // 2 + (rounds - short) * length
-    cells = reach_sum * top + rounds * length
-    work = cells + rounds * _ROUND_CELLS
-    if work <= budget:  # rounds is bounded now, so the vector count is cheap
-        vectors = (top + 1) ** (rounds - two_sided) * (2 * top + 1) ** two_sided
-        dtype = int_dtype(vectors)
+    kinds = [kind for kind in kinds if kind[1]]
+    cells, reach = 0, 1
+    for digits, rounds in kinds:
+        lo, hi = digits[0], digits[-1]
+        top_sq = max(lo * lo, hi * hi)
+        squares = max(-lo, hi) if lo <= 0 <= hi else hi - lo + 1
+        # reach + i * top_sq for the first `short` rounds, length after them
+        short = min(rounds, (length - reach) // top_sq + 1) if top_sq else rounds
+        cells += squares * (short * reach + top_sq * short * (short - 1) // 2
+                            + (rounds - short) * length) + rounds * length
+        reach = min(reach + rounds * top_sq, length)
+    work = cells + sum(rounds for _, rounds in kinds) * _ROUND_CELLS
+    if work <= budget:  # rounds and ranges are bounded now: cheap to count and walk
+        dtype = int_dtype(math.prod(len(digits) ** rounds for digits, rounds in kinds))
         if dtype is object:
             work += (_OBJECT_CELL - 1) * cells
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
     h = np.zeros(length, dtype=dtype)
     h[0] = 1
-    for j in range(rounds):
-        w = 1 if j < rounds - two_sided else 2
-        r = min(j * sq_top + 1, length)
-        new = h.copy()
-        for a in range(1, top + 1):
-            sq = a * a
-            n = min(r, length - sq)
-            new[sq : sq + n] += w * h[:n]
-        h = new
+    reach = 1
+    for digits, rounds in kinds:
+        # +-d share one slice-add; Python ints, as int64 squares wrap past 3.04e9
+        weights = Counter(d * d for d in digits if d and d * d < length)
+        for _ in range(rounds):
+            new = h * (0 in digits)  # the copy, dropped by a range without 0
+            for v, w in weights.items():
+                n = min(reach, length - v)
+                new[v : v + n] += w * h[:n]
+            h = new
+            reach = min(reach + max(weights, default=0), length)
     return h
 
 
@@ -128,7 +128,7 @@ def build_histogram(k: int, y: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """
     if k < 1 or y < 1:
         raise ValueError(f"need k >= 1 and y >= 1, got k={k}, y={y}")
-    return _norm_counts(k * (y - 1) ** 2 + 1, y - 1, k, 0, budget)
+    return _norm_counts(k * (y - 1) ** 2 + 1, [(range(y), k)], budget)
 
 
 def write_histogram_csv(counts: np.ndarray, fh: IO[str]) -> None:
@@ -140,14 +140,10 @@ def write_histogram_csv(counts: np.ndarray, fh: IO[str]) -> None:
 
 def write_discrepancy_csv(records: Sequence[DiscrepancyRecord], fh: IO[str]) -> None:
     """Dump as `k,t,m,count_exact,volume,reference_volume,ratio` CSV rows."""
+    fields = ("k", "t", "m", "count_exact", "volume", "reference_volume", "ratio")
     writer = csv.writer(fh)
-    writer.writerow(
-        ["k", "t", "m", "count_exact", "volume", "reference_volume", "ratio"]
-    )
-    writer.writerows(
-        [r.k, r.t, r.m, r.count_exact, r.volume, r.reference_volume, r.ratio]
-        for r in records
-    )
+    writer.writerow(fields)
+    writer.writerows(map(attrgetter(*fields), records))
 
 
 def _window_ends(mu: Fraction, bound_sq: Fraction) -> tuple[int, int]:
@@ -305,7 +301,9 @@ def _capped_counts_table(k: int, t: int, m: int, budget: int) -> np.ndarray:
         raise ValueError(f"t must be >= 0, got {t}")
     if not 1 <= m <= k + 1:
         raise ValueError(f"m must be in [1, {k + 1}], got {m}")
-    return np.cumsum(_norm_counts(t + 1, math.isqrt(t), k, m - 1, budget))
+    top = math.isqrt(t)
+    kinds = [(range(top + 1), k - m + 1), (range(-top, top + 1), m - 1)]
+    return np.cumsum(_norm_counts(t + 1, kinds, budget))
 
 
 def count_capped_ball(k: int, t: int, m: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -217,9 +217,9 @@ def resolve_params(
 ) -> ConstructionParams:
     """The parameters of one run, for both methods and every caller.
 
-    Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and
-    y = max_side(n, k), DegenerateParameters if y < 2; with them n defaults
-    to the cube's own bound n_effective.  One of them alone is a ValueError.
+    Without k and y, k = ceil(sqrt(2 log2 n)) (always >= 2) and y = max_side(n, k),
+    DegenerateParameters if y < 2; with them n defaults to the cube's own bound
+    n_effective.  One of them alone, or none of n, k and y, is a ValueError.
     Unset knobs keep their field defaults; the annulus method carries
     g = effective_g().
     """
@@ -229,6 +229,8 @@ def resolve_params(
     if (k is None) != (y is None):
         raise ValueError(f"k and y must be given together, got k={k}, y={y}")
     if k is None:
+        if n is None:
+            raise ValueError("need n, or k and y together")
         k = derive_dimension(n)
         y = max_side(n, k)
         if y < 2:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import lattice
+from apfree.elkin import dhat_bound_check
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
     ShellSelection,
@@ -159,22 +160,44 @@ class TestBuildHistogram:
                 build_histogram(k, y)
             assert time.perf_counter() - start < 1.0
 
-    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=3),
-           st.integers(min_value=0, max_value=4), st.data())
+    @given(st.integers(min_value=1, max_value=60),
+           st.lists(st.tuples(st.integers(-6, 4), st.integers(0, 6), st.integers(0, 2)),
+                    min_size=1, max_size=2))
+    @example(20, [(0, 3, 2), (-3, 6, 2)])  # the census and capped-ball kinds
+    @example(40, [(-5, 2, 2)])  # negative only
+    @example(40, [(2, 3, 2), (0, 0, 1)])  # no 0, then only 0
+    @example(30, [(-2, 5, 2)])  # asymmetric
+    @example(5, [(-6, 2, 1), (3, 1, 2)])  # squares past the array
     @settings(max_examples=60, deadline=None)
-    def test_closed_form_price_is_the_sum_over_rounds(self, length, top, rounds, data):
-        top = min(top, math.isqrt(length - 1))
-        two_sided = data.draw(st.integers(min_value=0, max_value=rounds))
-        reach = [min(j * top * top + 1, length) for j in range(rounds)]
-        work = sum(reach) * top + rounds * (length + lattice._ROUND_CELLS)
-        h = lattice._norm_counts(length, top, rounds, two_sided, work)
-        assert h.sum() == sum(
-            1 for v in itertools.product(range(-top, top + 1), repeat=rounds)
-            if all(c >= 0 for c in v[: rounds - two_sided])
-            and sum(c * c for c in v) < length
-        )
+    def test_closed_form_price_is_the_sum_over_rounds(self, length, drawn):
+        kinds = [(range(lo, lo + width + 1), rounds) for lo, width, rounds in drawn]
+        reach, work = 1, 0
+        for digits, rounds in kinds:
+            squares = {d * d for d in digits} - {0}
+            for _ in range(rounds):
+                work += reach * len(squares) + length + lattice._ROUND_CELLS
+                reach = min(reach + max(d * d for d in digits), length)
+        h = lattice._norm_counts(length, kinds, work)
+        coords = [digits for digits, rounds in kinds for _ in range(rounds)]
+        norms = Counter(sum(c * c for c in v) for v in itertools.product(*coords))
+        assert h.tolist() == [norms[s] for s in range(length)]
         with pytest.raises(BudgetExceeded, match=f"~{work} exceeds"):
-            lattice._norm_counts(length, top, rounds, two_sided, work - 1)
+            lattice._norm_counts(length, kinds, work - 1)
+
+    def test_extreme_inputs_are_refused_before_any_table(self):
+        # A DP that built its weight tables first would walk 10^12 digits here.
+        for call, work in [
+            (lambda: build_histogram(10**9, 2), 1500002501500000000),
+            (lambda: build_histogram(1, 10**12), 999999999999000000002501),
+            (lambda: count_capped_ball(2, 10**24, 3),
+             1000000000002000000000002000000005002),
+            (lambda: dhat_bound_check(10**9, 1), 2503999999999),
+        ]:
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as refusal:
+                call()
+            assert time.perf_counter() - start < 1.0
+            assert str(refusal.value) == f"norm-count work ~{work} exceeds {10**8}"
 
     def test_counts_beyond_int64(self):
         hist = build_histogram(30, 5, budget=10**22)

@@ -209,6 +209,11 @@ class TestDefaultParams:
             with pytest.raises(ValueError, match="k and y must be given together"):
                 resolve_params("behrend", **kw)
 
+    def test_no_n_and_no_cube_is_refused(self):
+        for method in ("behrend", "elkin"):
+            with pytest.raises(ValueError, match="need n"):
+                resolve_params(method)
+
 
 class TestMaxSide:
     @given(st.integers(2, 2**4000), st.integers(2, 200))
