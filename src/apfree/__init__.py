@@ -10,7 +10,7 @@ everything with independent ground truth.
 """
 
 from .behrend import BehrendArtifact, construct_behrend
-from .codec import APFreeSet, read_set
+from .codec import APFreeSet, SortedCodes, read_set
 from .elkin import (
     ElkinArtifact,
     construct_elkin,
@@ -77,6 +77,7 @@ __all__ = [
     "MomentSummary",
     "SetFormatError",
     "ShellSelection",
+    "SortedCodes",
     "VerificationReport",
     "ball_volume",
     "behrend_bound",

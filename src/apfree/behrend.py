@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import APFreeSet, encode_all
+from .codec import APFreeSet
 from .lattice import (
     DEFAULT_BUDGET,
     ShellSelection,
@@ -49,8 +49,5 @@ def construct_behrend(
     hist = build_histogram(k, y, budget)
     shell = select_behrend_shell(hist, moments, params.a)
     points = shell_points(k, y, shell, budget)
-    elements = tuple(sorted(encode_all(points, y, k)))
-    apset = APFreeSet(
-        n=params.n, elements=elements, method="behrend", params_echo=params
-    )
+    apset = APFreeSet.from_points(points, "behrend", params)
     return BehrendArtifact(params=params, shell=shell, set=apset)

@@ -13,10 +13,22 @@ and in Python ints (object dtype) above.  encode_all forms the codes by
 Horner's rule, one column at a time, so it never copies the whole (N, k)
 block.  Neither truncates: float coordinates or codes are refused.
 
+An APFreeSet holds its elements once, as one sorted read-only array in
+numeric.int_dtype(n): 8 bytes an element in int64 below 2^62, Python ints
+(object dtype) above.  Its elements attribute is a SortedCodes, which gives
+that array the face of a tuple of ints: len, indexing and iteration yield
+Python ints, a slice is a tuple, == and hash agree with the equal tuple,
+and np.asarray returns the array itself.  APFreeSet.from_points is the one
+tail of both constructions: points to codes by Horner's rule, sorted in
+place, held as they are.  Any other input (a tuple or list of ints) goes
+through an object array whose element types are checked, since numpy would
+round 2^63 to a float and read True as 1.
+
 Sets are interchanged as JSON (schema "apfree-set/1") with elements as
 decimal strings, since codes routinely exceed 64 bits.  write_json writes
 exactly json.dump(to_json_dict(), indent=2) and a newline, but the element
-strings go out a chunk at a time instead of all being built first.
+strings go out a chunk at a time instead of all being built first;
+read_set parses them straight into the held array.
 """
 
 from __future__ import annotations
@@ -24,9 +36,10 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -37,13 +50,18 @@ SCHEMA = "apfree-set/1"
 
 _METHODS = ("behrend", "elkin", "exact", "external")
 
-#: Elements write_json formats and writes at a time.
+#: Elements formatted, written or iterated at a time.
 _JSON_CHUNK = 1 << 12
 
 
 def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     """Codes of k-dimensional integer coordinate sequences or of the rows of an
     (N, k) integer array, as ints."""
+    return _codes(vectors, y, k).tolist()
+
+
+def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
+    """encode_all's codes as an array in int_dtype(radix(y)^k)."""
     coords = np.asarray(vectors)
     # a float would be truncated; past int64 a value is out of range anyway
     if coords.size and coords.dtype.kind not in "iu":
@@ -58,7 +76,7 @@ def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     for j in range(k - 1, -1, -1):
         codes *= base
         codes += coords[:, j].astype(dtype, copy=False)
-    return codes.tolist()
+    return codes
 
 
 def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
@@ -75,7 +93,7 @@ def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
     digits = np.empty((len(rem), k), dtype=np.int64)
     for i in range(k):
         digits[:, i] = rem % base
-        rem //= base
+        rem = rem // base  # not //=: rem may be the caller's array
     bad = (rem != 0) | (digits >= y).any(axis=1)
     if bad.any():
         culprit = codes[int(np.flatnonzero(bad)[0])]
@@ -83,16 +101,64 @@ def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
     return digits
 
 
+class SortedCodes(Sequence):
+    """A set's elements: one sorted read-only array with the face of a tuple of
+    ints.  An item is a Python int and a slice a tuple; iteration converts
+    _JSON_CHUNK elements at a time; == and hash agree with the equal tuple,
+    and np.asarray gives the array itself, with no copy."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: np.ndarray) -> None:
+        codes.flags.writeable = False
+        self._codes = codes
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._codes, dtype=dtype, copy=copy)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._codes[index].tolist())
+        return int(self._codes[index])
+
+    def __iter__(self):
+        for start in range(0, len(self._codes), _JSON_CHUNK):
+            yield from self._codes[start : start + _JSON_CHUNK].tolist()
+
+    def __contains__(self, value) -> bool:
+        i = np.searchsorted(self._codes, value)
+        return bool(i < len(self._codes) and self._codes[i] == value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SortedCodes):
+            return bool(np.array_equal(self._codes, other._codes))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class APFreeSet:
     """A progression-free set of integers in [1, n] with provenance.
 
-    n >= 1, and elements must be strictly increasing.  method records how the
-    set was produced; params_echo carries the construction parameters if known.
+    n >= 1, and elements must be integers, strictly increasing, in [1, n].
+    They are held as a SortedCodes over one array in int_dtype(n); an integer
+    array given as elements is taken over, not copied, and made read-only.
+    method records how the set was produced; params_echo carries the
+    construction parameters if known.
     """
 
     n: int
-    elements: tuple[int, ...]
+    elements: SortedCodes
     method: str
     params_echo: ConstructionParams | None = None
 
@@ -101,15 +167,37 @@ class APFreeSet:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.n < 1:
             raise ValueError(f"the interval bound n must be >= 1, got {self.n}")
-        prev = 0
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing and >= 1")
-            prev = e
-        if self.elements and self.elements[-1] > self.n:
-            raise ValueError(
-                f"element {self.elements[-1]} exceeds the interval bound {self.n}"
-            )
+        codes = self.elements
+        if isinstance(codes, (np.ndarray, SortedCodes)):
+            codes = np.asarray(codes)
+        if not isinstance(codes, np.ndarray) or codes.dtype == object:
+            codes = np.fromiter(self.elements, object)
+            kinds = set(map(type, codes))
+            # int() would truncate a float; a bool is no set element either
+            bad = {t for t in kinds if issubclass(t, bool) or not issubclass(t, Integral)}
+            if bad:
+                culprit = next(e for e in codes if type(e) in bad)
+                raise ValueError(f"set elements must be integers, got {culprit!r:.40}")
+            if kinds - {int}:  # numpy ints, say: held as Python ints past 2^62
+                codes = np.fromiter(map(int, codes), object, len(codes))
+        elif codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
+            raise ValueError(f"elements must be integers, got a {codes.dtype} array")
+        if len(codes) and (codes[0] < 1 or (codes[1:] <= codes[:-1]).any()):
+            raise ValueError("elements must be strictly increasing and >= 1")
+        if len(codes) and codes[-1] > self.n:
+            raise ValueError(f"element {codes[-1]} exceeds the interval bound {self.n}")
+        codes = codes.astype(int_dtype(self.n), copy=False)
+        object.__setattr__(self, "elements", SortedCodes(codes))
+
+    @classmethod
+    def from_points(
+        cls, points: np.ndarray, method: str, params: ConstructionParams
+    ) -> APFreeSet:
+        """The set of the codes of points, the rows of an (N, k) integer array:
+        encoded by Horner's rule, sorted in place, held as they are."""
+        codes = _codes(points, params.y, params.k)
+        codes.sort()
+        return cls(n=params.n, elements=codes, method=method, params_echo=params)
 
     @property
     def size(self) -> int:
@@ -166,8 +254,7 @@ class APFreeSet:
     def write_csv(self, fh: IO[str]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["index", "element"])
-        for i, e in enumerate(self.elements):
-            writer.writerow([i, e])
+        writer.writerows(enumerate(self.elements))
 
 
 def _json_int(value) -> int:
@@ -198,11 +285,16 @@ def set_from_json_dict(doc: dict) -> APFreeSet:
         raise SetFormatError(f"missing or unsupported schema (expected {SCHEMA!r})")
     if "n" not in doc or not isinstance(doc.get("elements"), list):
         raise SetFormatError("malformed document: needs n and a list of elements")
+    items = doc["elements"]
     try:
         n = _json_int(doc["n"])
+        try:
+            codes = np.fromiter(map(_json_int, items), int_dtype(n), len(items))
+        except OverflowError:  # past int64, so outside [1, n]: exact for the message
+            codes = np.fromiter(map(_json_int, items), object, len(items))
         return APFreeSet(
             n=n,
-            elements=tuple(_json_int(e) for e in doc["elements"]),
+            elements=codes,
             method=doc.get("method", "external"),
             params_echo=_params_from_json(doc, n),
         )

@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import APFreeSet, encode_all
+from .codec import APFreeSet
 from .errors import BudgetExceeded
 from .lattice import (
     DEFAULT_BUDGET,
@@ -187,15 +187,13 @@ def construct_elkin(
         if dots > budget:
             raise BudgetExceeded(f"{dots} certificate dot products exceed {budget}")
         kept = points[_uncertified(points, tested, g)]
-    elements = tuple(sorted(encode_all(kept, y, k)))
-    apset = APFreeSet(n=params.n, elements=elements, method="elkin", params_echo=params)
     return ElkinArtifact(
         params=params,
         shell=shell,
         annulus_points=shell.population,
         removed=shell.population - len(kept),
         unit_removed=shell.population - len(points),
-        set=apset,
+        set=APFreeSet.from_points(kept, "elkin", params),
     )
 
 

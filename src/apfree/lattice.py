@@ -9,10 +9,11 @@ through selection to the CSV.  Both selections tile their window (Behrend
 with single norms, Elkin with width-g sub-windows); one pick takes the most
 populated tile, from one prefix sum of the census, and builds the selection.
 Shell extraction scans the cube in lexicographic order by unraveling chunks
-of ranks, keeps the ranks whose squared norm lies in the window, and unravels
-those once into an (N, k) array of the least dtype that holds y - 1 (one
-byte per digit for y <= 256; the scan's norms are int64); it can be narrowed
-to a sub-cube [low, y-1]^k by unraveling in base y - low and adding low.
+of ranks, keeps each chunk's rows whose squared norm lies in the window in
+the least dtype that holds y - 1 (one byte per digit for y <= 256; the
+scan's norms are int64), and concatenates them once into an (N, k) array;
+it can be narrowed to a sub-cube [low, y-1]^k by unraveling in base y - low
+and adding low.
 That array is the one point type of the pipelines; shell_members gives the
 same rows as a list of plain int tuples for callers that want a Python
 sequence.
@@ -244,9 +245,9 @@ def select_elkin_annulus(
     return _best_tile(counts, moments, 2, lo, hi, starts, ends, floor)
 
 
-def _unravel(ranks: np.ndarray, k: int, y: int, dtype=np.int64) -> np.ndarray:
-    """Cube points of [0, y-1]^k with the given lexicographic ranks, as an array."""
-    coords = np.empty((len(ranks), k), dtype=dtype)
+def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:
+    """Cube points of [0, y-1]^k with the given lexicographic ranks, in int64."""
+    coords = np.empty((len(ranks), k), dtype=np.int64)
     for j in range(k - 1, -1, -1):
         ranks, coords[:, j] = np.divmod(ranks, y)
     return coords
@@ -270,20 +271,18 @@ def shell_points(
     # Skip first coordinates whose own square already exceeds the window top.
     first = max(min(y - 1, math.isqrt(max(t_high, 0))) - low + 1, 0)
     stop = first * side ** (k - 1)
-    # Keep 1-D ranks per chunk, not rows: many small row blocks fragment the heap.
-    # Chunks and their norms are int64: squares would wrap in the digit dtype.
-    kept = [np.empty(0, dtype=np.int64)]
+    # Chunks and their norms are int64 (squares would wrap in the digit dtype);
+    # each chunk's kept rows go to the digit dtype at once, concatenated once.
+    digit = np.min_scalar_type(y - 1)
+    kept = [np.empty((0, k), dtype=digit)]
     for start in range(0, stop, _CHUNK):
         coords = _unravel(np.arange(start, min(start + _CHUNK, stop), dtype=np.int64),
                           k, side)
         if low:
             coords += low
         norms = np.einsum("ij,ij->i", coords, coords)
-        kept.append(np.flatnonzero((norms >= t_low) & (norms <= t_high)) + start)
-    points = _unravel(np.concatenate(kept), k, side, np.min_scalar_type(y - 1))
-    if len(points):  # with no row low may be y or more, past that dtype
-        points += low
-    return points
+        kept.append(coords[(norms >= t_low) & (norms <= t_high)].astype(digit))
+    return np.concatenate(kept)
 
 
 def shell_members(

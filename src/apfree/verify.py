@@ -68,15 +68,18 @@ class VerificationReport:
     check: str = "midpoint"
 
 
-def _elements_of(s) -> tuple[int, ...]:
+def _elements_of(s) -> np.ndarray:
+    """The distinct elements of s in ascending order, as an int64 or, past
+    2^62, object array: an APFreeSet's own array, any other iterable checked."""
     if isinstance(s, APFreeSet):
-        return s.elements
+        return np.asarray(s.elements)
     elements = list(s)
     for e in elements:
         # int() would truncate a float; a bool is no set element either
         if isinstance(e, bool) or not isinstance(e, numbers.Integral):
             raise ValueError(f"set elements must be integers, got {e!r:.40}")
-    return tuple(sorted(set(map(int, elements))))
+    elements = sorted(set(map(int, elements)))
+    return np.array(elements, dtype=int_dtype(max(map(abs, elements), default=0)))
 
 
 def midpoint_free(
@@ -95,14 +98,14 @@ def midpoint_free(
     (all of them when there is none).
     """
     elements = _elements_of(s)
-    n_odd = sum(e & 1 for e in elements)
+    is_odd = elements % 2 == 1
+    n_odd = int(np.count_nonzero(is_odd))
     total = sum(k * (k - 1) // 2 for k in (len(elements) - n_odd, n_odd))
     if total > budget:
         raise BudgetExceeded(
             f"{total} same-parity pairs exceed the verify budget {budget}"
         )
-    arr = np.array(elements, dtype=int_dtype(2 * max(map(abs, elements), default=0)))
-    is_odd = arr % 2 == 1
+    arr = elements.astype(int_dtype(2 * int(abs(elements).max(initial=0))), copy=False)
     classes, rows = (arr[~is_odd], arr[is_odd]), [0, 0]
     pairs = 0
     for a, odd in zip(arr, is_odd.tolist()):
@@ -164,10 +167,10 @@ def short_difference_free(
     if not n:
         return VerificationReport(True, None, 0, "short-difference")
     # below radix^k, k digits leave nothing over
-    if elements[0] < 0 or elements[-1] >= radix**k:
+    if elements[0] < 0 or int(elements[-1]) >= radix**k:
         return None
     dtype = int_dtype(max(2 * radix**k, k * y * y))
-    codes = np.array(elements, dtype=dtype)
+    codes = elements.astype(dtype, copy=False)
     rem, norms = codes.copy(), np.zeros(n, dtype)
     for _ in range(k):
         digit = rem % radix

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +128,24 @@ class TestConstructBehrend:
         fields = [f.name for f in dataclasses.fields(art)]
         assert fields == ["params", "shell", "set"]
         assert not any(isinstance(getattr(art, f), np.ndarray) for f in fields)
+
+    def test_2_32_set_is_built_and_held_as_one_int64_array(self):
+        # The benchmark's shell input, 160,217 codes.  Held as Python ints they
+        # took 6.4 MB, and sorting them into a tuple peaked at 9.6 MB.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            art = construct_behrend(resolve_params("behrend", 2**32))
+            elapsed = time.perf_counter() - start
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert art.set.size == 160_217
+        assert np.asarray(art.set.elements).dtype == np.int64
+        assert peak < 5_500_000
+        assert held <= 8 * art.set.size + 65_536
+        assert elapsed < 20.0
 
     def test_explicit_n_larger_than_cube(self):
         # n need not be an exact power; elements still fit below (2y)^k <= n

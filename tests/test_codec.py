@@ -36,6 +36,18 @@ def cube_and_vector(draw):
     return k, y, coords
 
 
+@st.composite
+def spelled_sets(draw):
+    """Increasing integers in [1, n], each spelled as an int, a float, a numpy
+    int, or True for 1, in a tuple or a list."""
+    n = draw(st.integers(min_value=1, max_value=2**70))
+    values = sorted(draw(st.sets(st.integers(min_value=1, max_value=n), max_size=6)))
+    spellings = [lambda e: e, float, lambda e: np.int64(e) if e < 2**63 else e,
+                 lambda e: True if e == 1 else e]
+    elements = [draw(st.sampled_from(spellings))(e) for e in values]
+    return n, draw(st.sampled_from([tuple, list]))(elements)
+
+
 def test_every_export_is_defined():
     # a stale name would surface only at a user's `from apfree import *`
     assert [name for name in apfree.__all__ if not hasattr(apfree, name)] == []
@@ -64,6 +76,11 @@ class TestDecode:
         assert decode_all([0], 3, 4).tolist() == [[0, 0, 0]]
         # 7 in base 6 is (1, 1): both digits below y = 3
         assert decode_all([7], 2, 3).tolist() == [[1, 1]]
+
+    def test_leaves_an_array_argument_as_it_was(self):
+        codes = np.array([6, 7], dtype=np.int64)
+        assert decode_all(codes, 2, 3).tolist() == [[0, 1], [1, 1]]
+        assert codes.tolist() == [6, 7]
 
     def test_rejects_large_digit(self):
         with pytest.raises(DigitOutOfRange):
@@ -191,6 +208,45 @@ class TestAPFreeSet:
             APFreeSet(n=10, elements=(1,), method="magic")
         with pytest.raises(ValueError, match="n must be >= 1"):
             APFreeSet(n=0, elements=(), method="exact")
+
+    @pytest.mark.parametrize("elements", [(1.5, 2.0, 3), (1.0, 2), (True, 2),
+                                          np.array([1.0, 2.0]), np.array([True])])
+    def test_non_integer_elements_are_refused(self, elements):
+        # a set file could not hold them: they would be written as "1.5", "True"
+        with pytest.raises(ValueError, match="integers"):
+            APFreeSet(n=10, elements=elements, method="external")
+
+    def test_elements_behave_as_the_equal_tuple(self):
+        s = APFreeSet(n=10, elements=[1, 2, 4, 5], method="exact")
+        t = APFreeSet(n=10, elements=(1, 2, 4, 5), method="exact")
+        assert s == t and hash(s) == hash(t)
+        assert s.elements == (1, 2, 4, 5) and hash(s.elements) == hash((1, 2, 4, 5))
+        assert (s.elements != (1, 2, 4)) is True and (s.elements != t.elements) is False
+        assert repr(s.elements) == "(1, 2, 4, 5)" and list(s.elements) == [1, 2, 4, 5]
+        assert s.elements[1:3] == (2, 4) and type(s.elements[-1]) is int
+        assert [e in s.elements for e in (0, 3, 5, 6, 2**70)] == [False, False, True,
+                                                                  False, False]
+        assert not np.asarray(s.elements).flags.writeable
+
+    def test_an_array_is_held_without_a_copy(self):
+        codes = np.array([3, 7, 9], dtype=np.int64)
+        s = APFreeSet(n=10, elements=codes, method="external")
+        assert np.asarray(s.elements) is codes and not codes.flags.writeable
+        assert decode_all(s.elements, 1, 10).ravel().tolist() == [3, 7, 9]
+
+    @given(case=spelled_sets(), method=st.sampled_from(["behrend", "elkin", "exact",
+                                                        "external"]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_accepted_set_round_trips(self, case, method):
+        n, elements = case
+        try:
+            s = APFreeSet(n=n, elements=elements, method=method)
+        except ValueError:
+            return
+        buf = io.StringIO()
+        s.write_json(buf, reproducible=True)
+        loaded = read_set(io.StringIO(buf.getvalue()))
+        assert loaded == s and hash(loaded) == hash(s)
 
     def test_json_round_trip(self):
         params = ConstructionParams(n=36, k=2, y=3)

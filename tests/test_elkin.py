@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apfree import elkin
 from apfree.behrend import construct_behrend
-from apfree.codec import decode_all, encode_all
+from apfree.codec import APFreeSet, decode_all, encode_all
 from apfree.elkin import (
     construct_elkin,
     dhat_bound_check,
@@ -470,10 +470,22 @@ class TestDhatBoundCheck:
 
 class TestListEdge:
     """The public functions that hand points to Python callers return plain
-    lists and tuples, whose truth value is defined.  perfbench/trace_pipeline.py
+    lists and tuples, whose truth value is defined, and a set's elements
+    compare, hash and test like the equal tuple.  perfbench/trace_pipeline.py
     depends on this: it tests `if survivors` (line 174), compares
-    `elements != built.set.elements` (line 198) and tests `not apset.elements`
-    (line 215), each of which raises ValueError on a numpy array."""
+    `elements != built.set.elements` (line 198) and
+    `tuple(sorted(encode_all(...))) != apset.elements` (line 226), and tests
+    `not apset.elements` (line 215), each of which raises ValueError on a
+    bare numpy array."""
+
+    @staticmethod
+    def _replica_reads(elements, codes: tuple) -> None:
+        rebuilt = APFreeSet(n=max(codes), elements=codes, method="external").elements
+        for unequal in (elements != rebuilt, codes != elements, elements != codes):
+            assert unequal is False
+        assert elements == codes and codes == elements and elements == rebuilt
+        assert hash(elements) == hash(codes) == hash(rebuilt)
+        assert (not elements) is False
 
     def test_elkin_edge_types_and_replica_agreement(self):
         k, y, g = 3, 8, 1
@@ -484,15 +496,13 @@ class TestListEdge:
         survivors, _ = filter_survivors(members, enumerate_witnesses(k, g), g)
         assert type(survivors) is list and survivors
         assert all(type(v) is tuple for v in survivors)
-        assert type(art.set.elements) is tuple
-        assert tuple(sorted(encode_all(survivors, y, k))) == art.set.elements
+        self._replica_reads(art.set.elements, tuple(sorted(encode_all(survivors, y, k))))
 
     def test_behrend_edge_types(self):
         art = construct_behrend(ConstructionParams(n=8**3, k=3, y=4))
         members = shell_members(3, 4, art.shell)
         assert type(members) is list and all(type(v) is tuple for v in members)
-        assert type(art.set.elements) is tuple
-        assert tuple(sorted(encode_all(members, 4, 3))) == art.set.elements
+        self._replica_reads(art.set.elements, tuple(sorted(encode_all(members, 4, 3))))
 
     def test_empty_edges_are_falsy(self):
         art = construct_elkin(params_for(2, 3, 1))
@@ -500,3 +510,4 @@ class TestListEdge:
         survivors, removed = filter_survivors(members, enumerate_witnesses(2, 1), 1)
         assert survivors == [] and not survivors and removed == len(members)
         assert art.set.elements == () and not art.set.elements
+        assert (art.set.elements != ()) is False and hash(art.set.elements) == hash(())

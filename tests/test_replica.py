@@ -3,8 +3,10 @@
 perfbench/trace_pipeline.py calls the public functions of each module the
 way the CLI does and checks every output against perfbench/reference.json.
 A program change that renames or reshapes one of those functions breaks the
-benchmark, not the program's own tests; this runs the replica's quickest
-workload in a fresh interpreter so that such a change fails here first.
+benchmark, not the program's own tests; this runs the replica's oracles
+workload, and its shell workload (the only one that compares a two-thread
+shell scan and checks the 2^32 set file), each in a fresh interpreter, so
+that such a change fails here first.
 The replica builds its parameters itself, so every benchmark invocation is
 also run through the real CLI, in process, and checked the same way.
 """
@@ -15,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from apfree.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,11 +27,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
 
 
-def test_oracles_replica_passes(tmp_path):
+@pytest.mark.parametrize("workload", ["oracles", "shell"])
+def test_oracles_replica_passes(tmp_path, workload):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_pipeline.py"),
-         "--workload", "oracles", "--workdir", str(tmp_path)],
+         "--workload", workload, "--workdir", str(tmp_path)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
