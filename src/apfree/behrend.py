@@ -1,8 +1,10 @@
 """Sphere-shell construction: pigeonhole a squared norm, encode the shell.
 
-Pipeline: census the cube, pick the most populated squared norm T inside the
-Chebyshev window [mu - a*sigma, mu + a*sigma], collect the vectors of that
-norm, and map them to integers through the digit map of numeric.radix.
+Pipeline: lattice.select_and_scan, which Elkin's construction shares, censuses
+the cube, picks by select_behrend_shell the most populated squared norm T
+inside the Chebyshev window [mu - a*sigma, mu + a*sigma] and collects the
+vectors of that norm; APFreeSet.from_points maps them to integers through the
+digit map of numeric.radix.
 Vectors of a common norm admit no componentwise midpoints (a sphere is
 strictly convex), and the digit map transports midpoints, so the image is
 progression-free.
@@ -16,15 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import APFreeSet
-from .lattice import (
-    DEFAULT_BUDGET,
-    ShellSelection,
-    build_histogram,
-    check_enumeration_budget,
-    select_behrend_shell,
-    shell_points,
-)
-from .numeric import ConstructionParams, exact_moments
+from .lattice import DEFAULT_BUDGET, ShellSelection, select_and_scan, select_behrend_shell
+from .numeric import ConstructionParams
 
 
 @dataclass(frozen=True)
@@ -43,11 +38,7 @@ def construct_behrend(
     threads: int = 1,
 ) -> BehrendArtifact:
     """Run the full sphere-shell pipeline; threads has no effect."""
-    k, y = params.k, params.y
-    check_enumeration_budget(k, y, budget)
-    moments = exact_moments(k, y)
-    hist = build_histogram(k, y, budget)
-    shell = select_behrend_shell(hist, moments, params.a)
-    points = shell_points(k, y, shell, budget)
+    k, y, a = params.k, params.y, params.a
+    shell, points = select_and_scan(k, y, select_behrend_shell, a, budget)
     apset = APFreeSet.from_points(points, "behrend", params)
     return BehrendArtifact(params=params, shell=shell, set=apset)

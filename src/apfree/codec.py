@@ -17,7 +17,7 @@ An APFreeSet holds its elements once, as one sorted read-only array in
 numeric.int_dtype(n): 8 bytes an element in int64 below 2^62, Python ints
 (object dtype) above.  Its elements attribute is a SortedCodes, which gives
 that array the face of a tuple of ints: len, indexing and iteration yield
-Python ints, a slice is a tuple, == and hash agree with the equal tuple,
+Python ints, a slice is a tuple, ==, hash and in agree with the equal tuple,
 and np.asarray returns the array itself.  APFreeSet.from_points is the one
 tail of both constructions: points to codes by Horner's rule, sorted in
 place, held as they are.  Any other input (a tuple or list of ints) goes
@@ -104,7 +104,7 @@ def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
 class SortedCodes(Sequence):
     """A set's elements: one sorted read-only array with the face of a tuple of
     ints.  An item is a Python int and a slice a tuple; iteration converts
-    _JSON_CHUNK elements at a time; == and hash agree with the equal tuple,
+    _JSON_CHUNK elements at a time; ==, hash and in agree with the equal tuple,
     and np.asarray gives the array itself, with no copy."""
 
     __slots__ = ("_codes",)
@@ -129,8 +129,15 @@ class SortedCodes(Sequence):
             yield from self._codes[start : start + _JSON_CHUNK].tolist()
 
     def __contains__(self, value) -> bool:
-        i = np.searchsorted(self._codes, value)
-        return bool(i < len(self._codes) and self._codes[i] == value)
+        # As in the equal tuple, value is in it iff value == some int code: a
+        # number such as 4.0 or True may be, [4], (4,), "4" and None are not.
+        try:
+            code = int(getattr(value, "real", value))
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if code != value or not self or not self[0] <= code <= self[-1]:
+            return False
+        return bool(self._codes[np.searchsorted(self._codes, code)] == code)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SortedCodes):
@@ -150,11 +157,11 @@ class SortedCodes(Sequence):
 class APFreeSet:
     """A progression-free set of integers in [1, n] with provenance.
 
-    n >= 1, and elements must be integers, strictly increasing, in [1, n].
-    They are held as a SortedCodes over one array in int_dtype(n); an integer
-    array given as elements is taken over, not copied, and made read-only.
-    method records how the set was produced; params_echo carries the
-    construction parameters if known.
+    n is an integer >= 1 (a numpy one is held as int), and elements must be
+    integers, strictly increasing, in [1, n], held as a SortedCodes over one
+    array in int_dtype(n); an integer array given as elements is taken over,
+    not copied, and made read-only.  method records how the set was produced;
+    params_echo carries the construction parameters if known.
     """
 
     n: int
@@ -165,6 +172,10 @@ class APFreeSet:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        # a float, bool or string n would be written as no set file can read
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise ValueError(f"the bound n must be an integer, got {self.n!r:.40}")
+        object.__setattr__(self, "n", int(self.n))  # numpy integers too
         if self.n < 1:
             raise ValueError(f"the interval bound n must be >= 1, got {self.n}")
         codes = self.elements

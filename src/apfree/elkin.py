@@ -44,13 +44,11 @@ from .errors import BudgetExceeded
 from .lattice import (
     DEFAULT_BUDGET,
     ShellSelection,
-    build_histogram,
-    check_enumeration_budget,
     count_capped_ball,
+    select_and_scan,
     select_elkin_annulus,
-    shell_points,
 )
-from .numeric import ConstructionParams, eta, exact_moments
+from .numeric import ConstructionParams, eta
 
 
 class DhatCheck(NamedTuple):
@@ -168,17 +166,13 @@ def construct_elkin(
 
     Only the annulus points of the sub-cube [g+1, y-1]^k are enumerated and
     filtered, each against the witnesses enumerate_witnesses says can certify
-    it; with no such point, no witness is enumerated.  The enumeration budget
-    y^k is checked before the census runs, and the tested dot products before
-    the filter runs.  threads has no effect.
+    it; with no such point, no witness is enumerated.  select_and_scan checks
+    the enumeration budget y^k before the census runs, and the tested dot
+    products are checked before the filter runs.  threads has no effect.
     """
-    k, y = params.k, params.y
-    g = params.effective_g()
-    check_enumeration_budget(k, y, budget)
-    moments = exact_moments(k, y)
-    hist = build_histogram(k, y, budget)
-    shell = select_elkin_annulus(hist, moments, g)
-    kept = points = shell_points(k, y, shell, budget, low=g + 1)
+    k, g = params.k, params.effective_g()
+    shell, points = select_and_scan(k, params.y, select_elkin_annulus, g, budget, g + 1)
+    kept = points
     if len(points):
         half = enumerate_witnesses(k, g, budget)
         half = half[len(half) // 2 :]

@@ -36,7 +36,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyWindow
-from .numeric import MomentSummary, ball_volume, exceeds, int_dtype
+from .numeric import MomentSummary, ball_volume, exact_moments, exceeds, int_dtype
 
 #: Rows unraveled per scan step; measured faster than larger chunks (cache-sized).
 _CHUNK = 1 << 14
@@ -283,6 +283,17 @@ def shell_points(
         norms = np.einsum("ij,ij->i", coords, coords)
         kept.append(coords[(norms >= t_low) & (norms <= t_high)].astype(digit))
     return np.concatenate(kept)
+
+
+def select_and_scan(
+    k: int, y: int, select: Callable[[np.ndarray, MomentSummary, float], ShellSelection],
+    knob: float, budget: int, low: int = 0,
+) -> tuple[ShellSelection, np.ndarray]:
+    """The pipeline of both constructions: refuse y^k past budget, census, pick
+    select(census, moments, knob), and scan that window's points in [low, y-1]^k."""
+    check_enumeration_budget(k, y, budget)
+    shell = select(build_histogram(k, y, budget), exact_moments(k, y), knob)
+    return shell, shell_points(k, y, shell, budget, low)
 
 
 def shell_members(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apfree import behrend
+from apfree import lattice
 from apfree.behrend import construct_behrend
 from apfree.codec import decode_all
 from apfree.errors import BudgetExceeded, EmptyWindow
@@ -179,11 +179,16 @@ class TestConstructBehrend:
         def tripwire(*args):
             raise AssertionError("the census ran")
 
-        monkeypatch.setattr(behrend, "build_histogram", tripwire)
+        monkeypatch.setattr(lattice, "build_histogram", tripwire)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="enumeration budget"):
             construct_behrend(params_for(10, 10), budget=10**6)
         assert time.perf_counter() - start < 1.0
+        # The patch is live: a budget that admits y^k = 10^10 reaches the census
+        # (were it not, the scan of 10^10 points would fail the test at once).
+        monkeypatch.setattr(lattice, "shell_points", lambda *args: pytest.fail("scanned"))
+        with pytest.raises(AssertionError, match="the census ran"):
+            construct_behrend(params_for(10, 10), budget=10**10)
 
     def test_artifact_is_reproducible(self):
         a1 = construct_behrend(params_for(3, 3))

@@ -193,6 +193,23 @@ class TestMidpointTransport:
                 assert all(2 * c == a + b for c, a, b in zip(mid, u, w))
 
 
+@st.composite
+def membership_probes(draw):
+    """n (a held int64 or object array), a set's codes, and a probe: a code or
+    a near miss spelled as an int, float, bool, string, numpy int or 1-element
+    list or tuple, or None, any int, any float or a short string."""
+    n = draw(st.sampled_from([1000, 2**70]))
+    codes = sorted(draw(st.sets(st.integers(min_value=1, max_value=n), max_size=6)))
+    near = draw(st.sampled_from(codes or [1])) + draw(st.integers(-1, 1))
+    spellings = [lambda v: v, float, bool, str, lambda v: [v], lambda v: (v,),
+                 lambda v: np.int64(v) if -2**63 <= v < 2**63 else v,
+                 lambda v: np.uint8(v) if 0 <= v < 2**8 else v]
+    probe = draw(st.one_of(
+        st.sampled_from(spellings).map(lambda spell: spell(near)), st.none(),
+        st.integers(), st.floats(), st.booleans(), st.text(max_size=3)))
+    return n, codes, probe
+
+
 class TestAPFreeSet:
     def test_validation(self):
         APFreeSet(n=10, elements=(1, 2, 10), method="exact")
@@ -227,6 +244,26 @@ class TestAPFreeSet:
         assert [e in s.elements for e in (0, 3, 5, 6, 2**70)] == [False, False, True,
                                                                   False, False]
         assert not np.asarray(s.elements).flags.writeable
+
+    @given(membership_probes())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_answers_as_the_equal_tuple(self, case):
+        n, codes, probe = case
+        elements = APFreeSet(n=n, elements=codes, method="external").elements
+        assert (probe in elements) == (probe in tuple(elements))
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", None, np.float64(10)],
+                             ids=["float", "whole-float", "bool", "str", "None", "numpy"])
+    def test_non_integer_bound_is_refused(self, n):
+        # a set file could not hold it: it would be written as "10.5", "True"
+        with pytest.raises(ValueError, match="n must be an integer"):
+            APFreeSet(n=n, elements=(1,), method="external")
+
+    def test_numpy_bound_is_held_as_int(self):
+        s = APFreeSet(n=np.int64(10), elements=(1, 2), method="external")
+        buf = io.StringIO()
+        s.write_json(buf, reproducible=True)
+        assert type(s.n) is int and read_set(io.StringIO(buf.getvalue())) == s
 
     def test_an_array_is_held_without_a_copy(self):
         codes = np.array([3, 7, 9], dtype=np.int64)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apfree import elkin
+from apfree import elkin, lattice
 from apfree.behrend import construct_behrend
 from apfree.codec import APFreeSet, decode_all, encode_all
 from apfree.elkin import (
@@ -283,7 +283,7 @@ class TestConstructElkin:
 
         uncertified = elkin._uncertified
         monkeypatch.setattr(elkin, "_uncertified", spy)
-        monkeypatch.setattr(elkin, "shell_points", lambda *args, **kw: cube)
+        monkeypatch.setattr(lattice, "shell_points", lambda *args, **kw: cube)
         for k in range(1, 6):
             for g in range(1, 6):
                 deltas = sorted(brute_witnesses(k, g))
@@ -317,7 +317,7 @@ class TestConstructElkin:
             rows.append(shell_points(*args, **kw))
             return rows[-1].astype(np.int64)
 
-        monkeypatch.setattr(elkin, "shell_points", int64_points)
+        monkeypatch.setattr(lattice, "shell_points", int64_points)
         assert construct_elkin(params) == byte_art
         assert rows[0].dtype == np.uint8 and byte_art.set.size > 0
         witnesses = enumerate_witnesses(k, g)
@@ -359,11 +359,16 @@ class TestConstructElkin:
         def tripwire(*args):
             raise AssertionError("the census ran")
 
-        monkeypatch.setattr(elkin, "build_histogram", tripwire)
+        monkeypatch.setattr(lattice, "build_histogram", tripwire)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="enumeration budget"):
             construct_elkin(params_for(10, 10, 1), budget=10**6)
         assert time.perf_counter() - start < 1.0
+        # The patch is live: a budget that admits y^k = 10^10 reaches the census
+        # (were it not, the scan of 10^10 points would fail the test at once).
+        monkeypatch.setattr(lattice, "shell_points", lambda *args: pytest.fail("scanned"))
+        with pytest.raises(AssertionError, match="the census ran"):
+            construct_elkin(params_for(10, 10, 1), budget=10**10)
 
     def test_dot_products_are_refused_before_the_filter(self, monkeypatch):
         # For every (k, y, g) searched (y^k <= 2*10^6, g <= 11) the cube,
