@@ -70,12 +70,14 @@ def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
     base = radix(y)
-    # Horner from the last coordinate, one column at a time: no (N, k) copy
+    # Horner from the last coordinate, one column added in place at a time:
+    # no (N, k) copy and no column copy.  The loop's dtype is named, since
+    # int64 += uint64 would run in float64; object codes get Python ints.
     dtype = int_dtype(base**k)
     codes = np.zeros(len(coords), dtype=dtype)
     for j in range(k - 1, -1, -1):
         codes *= base
-        codes += coords[:, j].astype(dtype, copy=False)
+        np.add(codes, coords[:, j], out=codes, dtype=dtype)
     return codes
 
 

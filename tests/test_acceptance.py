@@ -23,7 +23,7 @@ from apfree.behrend import construct_behrend
 from apfree.cli import main as cli_main
 from apfree.codec import decode_all, encode_all
 from apfree.elkin import construct_elkin, enumerate_witnesses
-from apfree.lattice import discrepancy_scan, _unravel
+from apfree.lattice import discrepancy_scan
 from apfree.numeric import (
     ConstructionParams,
     behrend_bound,
@@ -33,6 +33,7 @@ from apfree.numeric import (
 )
 from apfree.verify import exact_nu, exact_nu_bb, midpoint_free
 
+from test_lattice import _unravel
 from test_verify import _code
 
 BEHREND_GRID = [

@@ -147,6 +147,23 @@ class TestConstructBehrend:
         assert held <= 8 * art.set.size + 65_536
         assert elapsed < 20.0
 
+    @pytest.mark.parametrize("n,size,limit", [(2**26, 3_088, 1_200_000),
+                                              (2**32, 160_217, 3_000_000)])
+    def test_scan_writes_its_rows_once_in_the_digit_dtype(self, n, size, limit):
+        # The scan counts its rows first and fills one (N, k) byte array; the
+        # codes are added a column at a time with no column copy.  With an
+        # int64 chunk, per-chunk row lists and column copies it peaked at
+        # 2.65 MB (2^26) and 4.05 MB (2^32); now at 0.83 and 2.73 MB.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            art = construct_behrend(resolve_params("behrend", n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert art.set.size == size
+        assert peak < limit
+
     def test_explicit_n_larger_than_cube(self):
         # n need not be an exact power; elements still fit below (2y)^k <= n
         params = ConstructionParams(n=100, k=2, y=3)

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,46 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc_info:
             main(["construct"])  # --method missing
         assert exc_info.value.code == 1
+
+
+# Runs `python -m apfree ARGS` (or, with no ARGS, only imports apfree.cli) and
+# prints the process's peak resident set, VmHWM in KiB, as its last stderr line.
+_PEAK_RSS_WRAPPER = """
+import runpy, sys
+try:
+    if sys.argv[1:]:
+        sys.argv[0] = "apfree"
+        runpy.run_module("apfree", run_name="__main__", alter_sys=True)
+    else:
+        import apfree.cli
+finally:
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
+              file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for the peak resident set")
+def test_2_32_construct_peaks_within_4_5_mib_of_the_import(tmp_path):
+    # The 2^32 set is 160,217 rows of eight one-byte digits and as many int64
+    # codes, 2.45 MiB; about 1.1 MiB more is code and objects any construct
+    # first touches.  Beyond the import of apfree.cli, the construct peaks
+    # 3.4-3.8 MiB higher; with an int64 scan chunk and column copies in the
+    # encoder it peaked 5.4-5.8 MiB higher.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def peak_kib(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_WRAPPER, *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.split()[-1])
+
+    construct = peak_kib("construct", "--method", "behrend", "--n", str(2**32),
+                         "--reproducible", "--out", "set.json")
+    assert json.loads((tmp_path / "set.json").read_text())["elements"]
+    assert construct - peak_kib() <= 4.5 * 1024
 
 
 def test_help_describes_every_command(capsys, monkeypatch):

@@ -141,8 +141,13 @@ class TestDecode:
         coords = rng.integers(0, y, size=(50, k))
         coords[0] = y - 1
         expected = [_code(row, y) for row in coords]
-        for dtype in (np.uint8, np.uint16, np.int64):
-            assert encode_all(coords.astype(dtype), y, k) == expected, dtype
+        # int64 += uint64 alone would run in float64; past 2^62, Python ints
+        python_ints = (2 * y) ** k >= 2**62
+        for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
+            codes = codec._codes(coords.astype(dtype), y, k)
+            assert codes.tolist() == expected, dtype
+            assert codes.dtype == (object if python_ints else np.int64)
+            assert python_ints == all(type(c) is int for c in codes)
 
     @pytest.mark.parametrize("k,y", [(9, 3), (27, 4)])
     def test_bulk_decode_rejects_non_codes(self, k, y):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,25 @@ class TestConstructElkin:
         art = construct_elkin(params_for(26, 2, 6))
         assert time.perf_counter() - start < 1.0
         assert art.is_empty and art.removed == art.unit_removed == art.annulus_points
+
+    def test_filter_blocks_are_sized_in_cells(self, monkeypatch):
+        # (7, 12, 2): 311,409 annulus points against 21 witnesses.  Blocks of
+        # 2^22 dot products (a 32 MB int64 block and its abs) peaked at
+        # 8.3 MB; blocks of elkin._FILTER_CELLS peak at about 1 MB.
+        params = params_for(7, 12, 2)
+        tracemalloc.start()
+        try:
+            art = construct_elkin(params, budget=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert art.annulus_points == 311_409 and peak < 3_000_000
+        small = construct_elkin(params_for(3, 8, 1))
+        assert not small.is_empty
+        for cells in (1, 7, 1 << 22):
+            monkeypatch.setattr(elkin, "_FILTER_CELLS", cells)
+            assert construct_elkin(params_for(3, 8, 1)) == small
+        assert construct_elkin(params, budget=10**9) == art
 
     def test_artifact_holds_the_set_once(self):
         art = construct_elkin(params_for(3, 8, 1))

@@ -18,7 +18,6 @@ from apfree.elkin import dhat_bound_check
 from apfree.errors import BudgetExceeded, EmptyWindow
 from apfree.lattice import (
     ShellSelection,
-    _unravel,
     _window_ends,
     annulus_count,
     build_histogram,
@@ -33,6 +32,15 @@ from apfree.lattice import (
     write_histogram_csv,
 )
 from apfree.numeric import MomentSummary, exact_moments
+
+
+def _unravel(ranks: np.ndarray, k: int, y: int) -> np.ndarray:
+    """Cube points of [0, y-1]^k with the given lexicographic ranks, in int64:
+    the brute oracle the scans are checked against."""
+    coords = np.empty((len(ranks), k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        ranks, coords[:, j] = np.divmod(ranks, y)
+    return coords
 
 
 @functools.cache
