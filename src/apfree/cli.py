@@ -136,6 +136,15 @@ def _params(args, n=None, k=None, y=None) -> ConstructionParams:
     return numeric.resolve_params(args.method, n, k, y, args.a, args.epsilon, args.g)
 
 
+def _write(path: str | None, write) -> None:
+    """write(fh) on the file at path, or on stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
+
+
 _CONSTRUCT = {"behrend": behrend.construct_behrend, "elkin": elkin.construct_elkin}
 
 
@@ -144,11 +153,8 @@ def cmd_construct(args) -> int:
     artifact = _CONSTRUCT[args.method](params, budget=args.budget)
     apset, shell = artifact.set, artifact.shell
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            if args.format == "json":
-                apset.write_json(fh, reproducible=args.reproducible)
-            else:
-                apset.write_csv(fh)
+        _write(args.out, apset.write_csv if args.format == "csv" else
+               lambda fh: apset.write_json(fh, reproducible=args.reproducible))
     print(f"method={args.method} n={params.n} k={params.k} y={params.y} "
           f"shell=[{shell.t_low},{shell.t_high}] size={apset.size} "
           f"density={apset.density}")
@@ -186,11 +192,9 @@ def cmd_sweep(args) -> int:
                 art.set.density, numeric.behrend_bound(n), numeric.elkin_bound(n),
                 fraction,
             ])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "y", "n", "shell_lo", "shell_hi", "size", "density",
-                         "behrend_bound", "elkin_bound", "survivor_fraction"])
-        writer.writerows(rows)
+    header = ["k", "y", "n", "shell_lo", "shell_hi", "size", "density",
+              "behrend_bound", "elkin_bound", "survivor_fraction"]
+    _write(args.out, lambda fh: csv.writer(fh).writerows([header, *rows]))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -206,22 +210,13 @@ def cmd_nu(args) -> int:
     return EXIT_DISAGREE
 
 
-def _write_csv(path: str | None, write, data) -> None:
-    """write(data, fh) into the file at path, or to stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(data, fh)
-    else:
-        write(data, sys.stdout)
-
-
 def cmd_discrepancy(args) -> int:
     grid = list(range(args.t_step, args.t_max + 1, args.t_step))
     if not grid:
         raise ValueError(f"empty t grid: --t-max {args.t_max} is below "
                          f"--t-step {args.t_step}")
     records = lattice.discrepancy_scan(args.k, grid, args.m, budget=args.budget)
-    _write_csv(args.out, lattice.write_discrepancy_csv, records)
+    _write(args.out, lambda fh: lattice.write_discrepancy_csv(records, fh))
     return EXIT_OK
 
 
@@ -234,7 +229,7 @@ def cmd_witness_count(args) -> int:
 
 def cmd_histogram(args) -> int:
     hist = lattice.build_histogram(args.k, args.y, budget=args.budget)
-    _write_csv(args.out, lattice.write_histogram_csv, hist)
+    _write(args.out, lambda fh: lattice.write_histogram_csv(hist, fh))
     return EXIT_OK
 
 

@@ -24,11 +24,11 @@ place, held as they are.  Any other input (a tuple or list of ints) goes
 through an object array whose element types are checked, since numpy would
 round 2^63 to a float and read True as 1.
 
-Sets are interchanged as JSON (schema "apfree-set/1") with elements as
-decimal strings, since codes routinely exceed 64 bits.  write_json writes
-exactly json.dump(to_json_dict(), indent=2) and a newline, but the element
-strings go out a chunk at a time instead of all being built first;
-read_set parses them straight into the held array.
+Sets are interchanged as JSON files (schema "apfree-set/1") with elements as
+decimal strings, since codes routinely exceed 64 bits.  write_json writes the
+bytes json.dump(doc, indent=2) and a newline would, but the element strings go
+out a chunk at a time instead of all being built first; read_set parses them
+straight into the held array.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ SCHEMA = "apfree-set/1"
 
 _METHODS = ("behrend", "elkin", "exact", "external")
 
-#: Elements formatted, written or iterated at a time.
+#: Elements formatted, written, iterated or order-checked at a time.
 _JSON_CHUNK = 1 << 12
 
 
@@ -60,13 +60,18 @@ def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     return _codes(vectors, y, k).tolist()
 
 
-def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
-    """encode_all's codes as an array in int_dtype(radix(y)^k)."""
+def integer_coords(vectors: Sequence[Sequence[int]]) -> np.ndarray:
+    """np.asarray(vectors), refused unless it is empty or of an integer dtype:
+    a float would be truncated, and past int64 a value is out of range anyway."""
     coords = np.asarray(vectors)
-    # a float would be truncated; past int64 a value is out of range anyway
     if coords.size and coords.dtype.kind not in "iu":
         raise CoordOutOfRange(f"coordinates must be integers, got {coords.dtype}")
-    coords = coords.reshape(len(vectors), k)
+    return coords
+
+
+def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
+    """encode_all's codes as an array in int_dtype(radix(y)^k)."""
+    coords = integer_coords(vectors).reshape(len(vectors), k)
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
     base = radix(y)
@@ -130,17 +135,6 @@ class SortedCodes(Sequence):
         for start in range(0, len(self._codes), _JSON_CHUNK):
             yield from self._codes[start : start + _JSON_CHUNK].tolist()
 
-    def __contains__(self, value) -> bool:
-        # As in the equal tuple, value is in it iff value == some int code: a
-        # number such as 4.0 or True may be, [4], (4,), "4" and None are not.
-        try:
-            code = int(getattr(value, "real", value))
-        except (TypeError, ValueError, OverflowError):
-            return False
-        if code != value or not self or not self[0] <= code <= self[-1]:
-            return False
-        return bool(self._codes[np.searchsorted(self._codes, code)] == code)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SortedCodes):
             return bool(np.array_equal(self._codes, other._codes))
@@ -195,7 +189,11 @@ class APFreeSet:
                 codes = np.fromiter(map(int, codes), object, len(codes))
         elif codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
             raise ValueError(f"elements must be integers, got a {codes.dtype} array")
-        if len(codes) and (codes[0] < 1 or (codes[1:] <= codes[:-1]).any()):
+        # strict increase over windows of _JSON_CHUNK + 1 codes that overlap by
+        # one, so the check never builds an N-byte mask
+        starts = range(0, len(codes), _JSON_CHUNK)
+        windows = (codes[i : i + _JSON_CHUNK + 1] for i in starts)
+        if len(codes) and (codes[0] < 1 or any((w[1:] <= w[:-1]).any() for w in windows)):
             raise ValueError("elements must be strictly increasing and >= 1")
         if len(codes) and codes[-1] > self.n:
             raise ValueError(f"element {codes[-1]} exceeds the interval bound {self.n}")
@@ -220,9 +218,6 @@ class APFreeSet:
     def density(self) -> float:
         return self.size / self.n
 
-    def to_json_dict(self, reproducible: bool = False) -> dict:
-        return self._json_doc(reproducible, [str(e) for e in self.elements])
-
     def _json_doc(self, reproducible: bool, elements: list[str]) -> dict:
         p = self.params_echo
         doc = {
@@ -245,10 +240,10 @@ class APFreeSet:
         return doc
 
     def write_json(self, fh: IO[str], reproducible: bool = False) -> None:
-        """json.dump(self.to_json_dict(reproducible), fh, indent=2), then a
-        newline; the elements are written _JSON_CHUNK at a time."""
+        """json.dump(doc, fh, indent=2), then a newline, for the set's document
+        doc with its elements as decimal strings, written _JSON_CHUNK at a time."""
         if not self.elements:  # json writes an empty list as []
-            json.dump(self.to_json_dict(reproducible), fh, indent=2)
+            json.dump(self._json_doc(reproducible, []), fh, indent=2)
             fh.write("\n")
             return
         # Two stand-in elements: json's own text before, between and after them.
@@ -293,7 +288,11 @@ def _params_from_json(doc: dict, n: int) -> ConstructionParams | None:
         return None
 
 
-def set_from_json_dict(doc: dict) -> APFreeSet:
+def read_set(fh: IO[str]) -> APFreeSet:
+    try:
+        doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # also over-long or too deep
+        raise SetFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise SetFormatError(f"missing or unsupported schema (expected {SCHEMA!r})")
     if "n" not in doc or not isinstance(doc.get("elements"), list):
@@ -314,10 +313,3 @@ def set_from_json_dict(doc: dict) -> APFreeSet:
     except ValueError as exc:
         raise SetFormatError(str(exc)) from exc
 
-
-def read_set(fh: IO[str]) -> APFreeSet:
-    try:
-        doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # also over-long or too deep
-        raise SetFormatError(f"not valid JSON: {exc}") from exc
-    return set_from_json_dict(doc)

@@ -23,8 +23,8 @@ Annulus points are an (N, k) array in shell_points' digit dtype (one byte
 per digit for y <= 256) and witnesses an (M, k) int64 array; the filter is
 one chunked matrix product of the two, which numpy forms in int64, so dot
 products past a byte do not wrap.
-filter_survivors takes any sequence of points and returns its survivors as
-a list of plain int tuples.
+filter_survivors takes any sequence of integer points, refusing floats as
+encode_all does, and returns its survivors as a list of plain int tuples.
 
 The filter can empty the annulus at desk scale (small y relative to g); that
 outcome is reported on the artifact, never raised, so parameter sweeps can
@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import APFreeSet
+from .codec import APFreeSet, integer_coords
 from .errors import BudgetExceeded
 from .lattice import (
     DEFAULT_BUDGET,
@@ -124,16 +124,18 @@ def filter_survivors(
 ) -> tuple[list[tuple[int, ...]], int]:
     """Keep points b whose every witness dot product avoids [-g, g].
 
-    points is any sequence of coordinate sequences, or an (N, k) array.
+    points is any sequence of coordinate sequences, or an (N, k) array;
+    points or witnesses that are not integers raise CoordOutOfRange.
     Survivors are returned in input order as a list of plain int tuples.  A
     removed point had some delta with |<b, delta>| <= g.  When witnesses is
     closed under delta -> -delta, as enumerate_witnesses is, that equals the
     one-sided certificate 0 <= <b, delta> <= g that b may be expressible as a
     convex combination of other ball points.
     """
-    if len(points) == 0:
+    rows, witnesses = integer_coords(points), integer_coords(witnesses)
+    if len(rows) == 0:
         return [], 0
-    rows = np.asarray(points, dtype=np.int64)
+    rows = rows.astype(np.int64, copy=False)
     survivors = list(map(tuple, rows[_uncertified(rows, witnesses, g)].tolist()))
     return survivors, len(rows) - len(survivors)
 

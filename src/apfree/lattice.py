@@ -74,9 +74,11 @@ def check_enumeration_budget(k: int, y: int, budget: int) -> None:
 #: cell about 1.0-1.4 ns (histogram --k 2 --y 400); 2-core Xeon VM, Python 3.11.
 _ROUND_CELLS = 2500
 
-#: Int64 cells one object-dtype (Python int) cell is priced as: 48-72 ns
-#: against 1.1-1.8 ns, at (15, 50), (20, 9) and (30, 5) against (2, 400) and
-#: (3, 120); counts of many digits cost more (163 ns at (7000, 2)).  Same VM.
+#: Int64 cells one object-dtype (Python int) cell is priced as, plus one per
+#: 64 bits of the count bound: 48-72 ns against 1.1-1.8 ns, at (15, 50),
+#: (20, 9) and (30, 5) against (2, 400) and (3, 120); wide counts cost more
+#: (163 ns at (7000, 2)); so priced, a cell took 1.0-1.6 ns at 64 to 7,001
+#: bits.  Same VM.
 _OBJECT_CELL = 40
 
 
@@ -90,7 +92,8 @@ def _norm_counts(
     (object dtype).  A round reads h[:reach] per nonzero square, reach being
     1 + the earlier rounds' largest squares, copies all length cells and
     costs _ROUND_CELLS more; that work is summed from the ranges' ends and
-    checked first, its cells weighted by _OBJECT_CELL for Python ints.
+    checked first, its cells weighted by _OBJECT_CELL and the counts' width
+    for Python ints.
     """
     kinds = [kind for kind in kinds if kind[1]]
     cells, reach = 0, 1
@@ -105,9 +108,10 @@ def _norm_counts(
         reach = min(reach + rounds * top_sq, length)
     work = cells + sum(rounds for _, rounds in kinds) * _ROUND_CELLS
     if work <= budget:  # rounds and ranges are bounded now: cheap to count and walk
-        dtype = int_dtype(math.prod(len(digits) ** rounds for digits, rounds in kinds))
+        bound = math.prod(len(digits) ** rounds for digits, rounds in kinds)
+        dtype = int_dtype(bound)
         if dtype is object:
-            work += (_OBJECT_CELL - 1) * cells
+            work += (_OBJECT_CELL + bound.bit_length() // 64 - 1) * cells
     if work > budget:
         raise BudgetExceeded(f"norm-count work ~{work} exceeds {budget}")
     h = np.zeros(length, dtype=dtype)

@@ -228,12 +228,17 @@ def convexly_independent(
     Each u reduces its differences to the later points at once, in exact
     integers with no products, and two equal directions end the check.  The
     price, n(n - 1)/2 differences of k cells, is refused above budget before
-    any array is built.  Duplicate points count as dependent.
+    any array is built.  Duplicate points count as dependent, and a
+    coordinate that is not an integer raises ValueError.
     """
     n = len(vectors)
     work = n * (n - 1) // 2 * (len(vectors[0]) if n else 0)
     if work > budget:
         raise BudgetExceeded(f"{work} difference cells exceed the budget {budget}")
+    for c in (c for v in vectors for c in v):
+        # int() would truncate a float; a bool is no coordinate either
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise ValueError(f"coordinates must be integers, got {c!r:.40}")
     # Python ints, so the dtype bound below cannot wrap on numpy input.
     pts = [tuple(map(int, v)) for v in vectors]
     if len(set(pts)) < n:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -624,3 +625,21 @@ class TestDeterminism:
         run(capsys, "construct", "--method", "behrend", "--k", "3", "--y", "4",
             "--out", str(q), "--reproducible")
         assert p.read_bytes() == q.read_bytes()
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # The ```sh block under "## CLI", run in order in one directory (verify
+    # reads the set the first line writes); each key=value token of a line's
+    # comment must be a word of its stdout.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("apfree ")]
+    assert len(lines) == len(block.splitlines()) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, stdout, stderr = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, stderr)
+        for token in comment.split():
+            if "=" in token:
+                assert token in stdout.split(), (line, token)

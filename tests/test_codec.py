@@ -18,12 +18,16 @@ from apfree.codec import (
     decode_all,
     encode_all,
     read_set,
-    set_from_json_dict,
 )
 from apfree.errors import CoordOutOfRange, DigitOutOfRange, SetFormatError
 from apfree.numeric import ConstructionParams
 
 from test_verify import _code
+
+
+def _read_doc(doc) -> APFreeSet:
+    """The set read_set makes of the file holding doc."""
+    return read_set(io.StringIO(json.dumps(doc)))
 
 
 @st.composite
@@ -231,6 +235,29 @@ class TestAPFreeSet:
         with pytest.raises(ValueError, match="n must be >= 1"):
             APFreeSet(n=0, elements=(), method="exact")
 
+    @pytest.mark.parametrize("at", [_JSON_CHUNK - 1, _JSON_CHUNK, _JSON_CHUNK + 1,
+                                    2 * _JSON_CHUNK])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_order_is_checked_across_window_ends(self, at, dtype):
+        codes = np.arange(1, 2 * _JSON_CHUNK + 2).astype(dtype)
+        codes[at] = codes[at - 1]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            APFreeSet(n=len(codes), elements=codes, method="external")
+        codes[at] += 1
+        APFreeSet(n=len(codes), elements=codes, method="external")
+
+    def test_order_check_builds_no_mask_of_the_set(self):
+        # as many codes as the 2^32 Behrend set: an order mask of one byte a
+        # code would peak at 160 kB above them
+        codes = np.arange(1, 160_218, dtype=np.int64) * 26_000
+        tracemalloc.start()
+        try:
+            APFreeSet(n=2**32, elements=codes, method="external")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize("elements", [(1.5, 2.0, 3), (1.0, 2), (True, 2),
                                           np.array([1.0, 2.0]), np.array([True])])
     def test_non_integer_elements_are_refused(self, elements):
@@ -321,20 +348,22 @@ class TestAPFreeSet:
         # (3, 9) and 10**9 coordinates would need n >= (2y)^k
         doc = {"schema": "apfree-set/1", "n": "300", "elements": ["1"], "k": k, "y": y}
         start = time.perf_counter()
-        assert set_from_json_dict(doc).params_echo is None
+        assert _read_doc(doc).params_echo is None
         assert time.perf_counter() - start < 1.0
 
     def test_read_ignores_a_non_integer_width(self):
         doc = {"schema": "apfree-set/1", "n": "4096", "elements": ["1"], "k": 3, "y": 8,
                "params": {"g": 1}}
-        assert set_from_json_dict(doc).params_echo == ConstructionParams(4096, 3, 8, g=1)
+        assert _read_doc(doc).params_echo == ConstructionParams(4096, 3, 8, g=1)
         doc["params"]["g"] = 1.5
-        assert set_from_json_dict(doc).params_echo is None
+        assert _read_doc(doc).params_echo is None
 
     def test_timestamp_only_when_not_reproducible(self):
         s = APFreeSet(n=10, elements=(1, 2), method="exact")
-        assert "created" in s.to_json_dict(reproducible=False)
-        assert "created" not in s.to_json_dict(reproducible=True)
+        for reproducible in (False, True):
+            buf = io.StringIO()
+            s.write_json(buf, reproducible=reproducible)
+            assert ("created" in json.loads(buf.getvalue())) is not reproducible
 
     def test_large_elements_survive_transport(self):
         big = 2**200
@@ -365,12 +394,13 @@ class TestAPFreeSet:
             mp.setattr(codec.time, "gmtime", lambda *args: frozen)
             buf = io.StringIO()
             s.write_json(buf, reproducible=reproducible)
-            expected = json.dumps(s.to_json_dict(reproducible), indent=2) + "\n"
+            doc = s._json_doc(reproducible, [str(e) for e in elements])
+            expected = json.dumps(doc, indent=2) + "\n"
         assert buf.getvalue() == expected
 
     def test_json_write_does_not_hold_every_element_string(self, tmp_path):
-        # 160,000 ten-digit codes, about the 2^32 Behrend set: json.dump of
-        # to_json_dict peaks at 10.7 MB here, the streamed writer at 0.4 MB.
+        # 160,000 ten-digit codes, about the 2^32 Behrend set: json.dump of the
+        # whole document peaks at 10.7 MB here, the streamed writer at 0.4 MB.
         n = 2**32
         s = APFreeSet(n=n, elements=tuple(range(n - 160_000 * 26_000, n, 26_000)),
                       method="external")
@@ -391,13 +421,11 @@ class TestAPFreeSet:
 
     def test_read_rejects_wrong_schema(self):
         with pytest.raises(SetFormatError):
-            set_from_json_dict({"schema": "other/9", "n": "5", "elements": []})
+            _read_doc({"schema": "other/9", "n": "5", "elements": []})
         with pytest.raises(SetFormatError):
             read_set(io.StringIO("not json"))
         with pytest.raises(SetFormatError):
-            set_from_json_dict(
-                {"schema": "apfree-set/1", "n": "5", "elements": ["2", "1"]}
-            )
+            _read_doc({"schema": "apfree-set/1", "n": "5", "elements": ["2", "1"]})
 
     @pytest.mark.parametrize("field, value", [
         ("elements", [1.5, 2.9, 4]),
@@ -413,11 +441,11 @@ class TestAPFreeSet:
         doc = {"schema": "apfree-set/1", "n": "10", "elements": ["1"]}
         doc[field] = value
         with pytest.raises(SetFormatError):
-            set_from_json_dict(doc)
+            _read_doc(doc)
 
     def test_read_accepts_json_integers(self):
         doc = {"schema": "apfree-set/1", "n": 10, "elements": [1, "2", 4]}
-        assert set_from_json_dict(doc).elements == (1, 2, 4)
+        assert _read_doc(doc).elements == (1, 2, 4)
 
     def test_density(self):
         s = APFreeSet(n=36, elements=(1, 6), method="behrend")

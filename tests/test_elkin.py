@@ -18,7 +18,7 @@ from apfree.elkin import (
     enumerate_witnesses,
     filter_survivors,
 )
-from apfree.errors import BudgetExceeded
+from apfree.errors import BudgetExceeded, CoordOutOfRange
 from apfree.lattice import shell_members, shell_points
 from apfree.numeric import ConstructionParams, eta, resolve_params
 from apfree.verify import convexly_independent, midpoint_free
@@ -144,6 +144,15 @@ class TestFilterSurvivors:
         assert filter_survivors([], enumerate_witnesses(2, 1), 1) == ([], 0)
         point = (0, 3)
         assert filter_survivors([point], [], 1) == ([point], 0)
+
+    def test_non_integer_points_or_witnesses_are_refused(self):
+        # truncated, (2.7, 3.9) would survive as (2, 3), which was never a point
+        witnesses = enumerate_witnesses(2, 1)
+        for points, deltas in [([[2.7, 3.9]], witnesses),
+                               ([(2, 3)], witnesses.astype(float)),
+                               (np.array([[True, False]]), witnesses)]:
+            with pytest.raises(CoordOutOfRange, match="coordinates must be integers"):
+                filter_survivors(points, deltas, 1)
 
     def test_preserves_input_order(self):
         pts = [(5, 2), (2, 5), (3, 4)]

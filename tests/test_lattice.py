@@ -207,6 +207,16 @@ class TestBuildHistogram:
             assert time.perf_counter() - start < 1.0
             assert str(refusal.value) == f"norm-count work ~{work} exceeds {10**8}"
 
+    def test_object_cells_are_priced_by_the_width_of_their_counts(self):
+        # (3000, 2): 3,000 rounds reach 1 + 2 + ... + 3000 cells and copy
+        # 3,001 each, 13,504,500 cells of counts up to 2^3000 (3,001 bits),
+        # each priced as _OBJECT_CELL + 3001 // 64 = 86 int64 cells
+        assert lattice._OBJECT_CELL == 40
+        work = 13_504_500 * 86 + 3000 * lattice._ROUND_CELLS
+        assert work == 1_168_887_000
+        with pytest.raises(BudgetExceeded, match=f"~{work} exceeds {10**8}$"):
+            build_histogram(3000, 2)
+
     def test_counts_beyond_int64(self):
         hist = build_histogram(30, 5, budget=10**22)
         assert hist.sum() == 5**30 > 2**63

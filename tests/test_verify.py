@@ -379,6 +379,16 @@ class TestConvexlyIndependent:
     def test_duplicates_are_dependent(self):
         assert not convexly_independent([(0, 0), (1, 1), (0, 0)])
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 1.5), (2, 3)],  # int() would make (1, 1): independent
+        np.array([(0, 0), (1, 1.5), (2, 3)]),
+        [(0, 0), (1, True), (2, 5)],
+        [(0, 0), (1, "2"), (2, 5)],
+    ], ids=["float", "float-array", "bool", "str"])
+    def test_non_integer_coordinates_are_refused(self, pts):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            convexly_independent(pts)
+
     def test_sphere_points_are_independent(self):
         shell = ShellSelection(
             t_low=9, t_high=9, population=-1, sigma_window=(0.0, 0.0),
