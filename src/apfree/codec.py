@@ -7,11 +7,11 @@ v_hat = (u_hat + w_hat)/2 for cube vectors then v = (u + w)/2 coordinate by
 coordinate.
 
 encode_all takes k-coordinate integer sequences or the rows of an (N, k)
-array of any integer dtype, and decode_all returns the points of codes as an
-(N, k) int64 array; each is one numpy body, in int64 while radix(y)^k < 2^62
-and in Python ints (object dtype) above.  encode_all forms the codes by
-Horner's rule, one column at a time, so it never copies the whole (N, k)
-block.  Neither truncates: float coordinates or codes are refused.
+integer array, and decode_all returns the points of codes as an (N, k) array;
+each is one numpy body, in int64 while radix(y)^k < 2^62 and in Python ints
+(object dtype) above.  encode_all forms the codes by Horner's rule, one column
+at a time, so it never copies the whole (N, k) block.  Coordinates, codes and
+set elements all pass numeric.integer_array, the one integer gate.
 
 An APFreeSet holds its elements once, as one sorted read-only array in
 numeric.int_dtype(n): 8 bytes an element in int64 below 2^62, Python ints
@@ -20,9 +20,7 @@ that array the face of a tuple of ints: len, indexing and iteration yield
 Python ints, a slice is a tuple, ==, hash and in agree with the equal tuple,
 and np.asarray returns the array itself.  APFreeSet.from_points is the one
 tail of both constructions: points to codes by Horner's rule, sorted in
-place, held as they are.  Any other input (a tuple or list of ints) goes
-through an object array whose element types are checked, since numpy would
-round 2^63 to a float and read True as 1.
+place, held as they are.
 
 Sets are interchanged as JSON files (schema "apfree-set/1") with elements as
 decimal strings, since codes routinely exceed 64 bits.  write_json writes the
@@ -44,7 +42,7 @@ from typing import IO
 import numpy as np
 
 from .errors import ApfreeError, CoordOutOfRange, DigitOutOfRange, SetFormatError
-from .numeric import ConstructionParams, int_dtype, radix
+from .numeric import ConstructionParams, int_dtype, integer_array, radix
 
 SCHEMA = "apfree-set/1"
 
@@ -60,18 +58,10 @@ def encode_all(vectors: Sequence[Sequence[int]], y: int, k: int) -> list[int]:
     return _codes(vectors, y, k).tolist()
 
 
-def integer_coords(vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """np.asarray(vectors), refused unless it is empty or of an integer dtype:
-    a float would be truncated, and past int64 a value is out of range anyway."""
-    coords = np.asarray(vectors)
-    if coords.size and coords.dtype.kind not in "iu":
-        raise CoordOutOfRange(f"coordinates must be integers, got {coords.dtype}")
-    return coords
-
-
 def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
     """encode_all's codes as an array in int_dtype(radix(y)^k)."""
-    coords = integer_coords(vectors).reshape(len(vectors), k)
+    coords = integer_array(vectors, CoordOutOfRange, "coordinates")
+    coords = coords.reshape(len(vectors), k)
     if coords.size and (coords.min() < 0 or coords.max() > y - 1):
         raise CoordOutOfRange(f"coordinates outside [0, {y - 1}]")
     base = radix(y)
@@ -87,17 +77,13 @@ def _codes(vectors: Sequence[Sequence[int]], y: int, k: int) -> np.ndarray:
 
 
 def decode_all(codes: Sequence[int], k: int, y: int) -> np.ndarray:
-    """Digits of each code as an (N, k) int64 array; the inverse of encode_all."""
-    rem = np.asarray(codes)
-    # a float would be truncated; past int64 the codes are Python ints, each checked
-    if rem.size and not (rem.dtype.kind in "iu" or rem.dtype.kind == "O" and all(
-            isinstance(c, Integral) and not isinstance(c, bool) for c in rem)):
-        raise DigitOutOfRange(f"codes must be integers, got {rem.dtype}")
+    """Digits of each code as an (N, k) array in int_dtype(y); encode_all's inverse."""
+    rem = integer_array(codes, DigitOutOfRange, "codes")
     if rem.min(initial=0) < 0:
         raise DigitOutOfRange("negative values cannot be cube vector codes")
-    rem = rem.astype(int_dtype(rem.max(initial=0)), copy=False)
     base = radix(y)
-    digits = np.empty((len(rem), k), dtype=np.int64)
+    rem = rem.astype(int_dtype(max(rem.max(initial=0), base)), copy=False)
+    digits = np.empty((len(rem), k), dtype=int_dtype(y))
     for i in range(k):
         digits[:, i] = rem % base
         rem = rem // base  # not //=: rem may be the caller's array
@@ -174,21 +160,9 @@ class APFreeSet:
         object.__setattr__(self, "n", int(self.n))  # numpy integers too
         if self.n < 1:
             raise ValueError(f"the interval bound n must be >= 1, got {self.n}")
-        codes = self.elements
-        if isinstance(codes, (np.ndarray, SortedCodes)):
-            codes = np.asarray(codes)
-        if not isinstance(codes, np.ndarray) or codes.dtype == object:
-            codes = np.fromiter(self.elements, object)
-            kinds = set(map(type, codes))
-            # int() would truncate a float; a bool is no set element either
-            bad = {t for t in kinds if issubclass(t, bool) or not issubclass(t, Integral)}
-            if bad:
-                culprit = next(e for e in codes if type(e) in bad)
-                raise ValueError(f"set elements must be integers, got {culprit!r:.40}")
-            if kinds - {int}:  # numpy ints, say: held as Python ints past 2^62
-                codes = np.fromiter(map(int, codes), object, len(codes))
-        elif codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
-            raise ValueError(f"elements must be integers, got a {codes.dtype} array")
+        codes = integer_array(self.elements, ValueError, "set elements")
+        if codes.ndim != 1:
+            raise ValueError(f"set elements must be one row, got shape {codes.shape}")
         # strict increase over windows of _JSON_CHUNK + 1 codes that overlap by
         # one, so the check never builds an N-byte mask
         starts = range(0, len(codes), _JSON_CHUNK)

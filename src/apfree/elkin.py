@@ -23,8 +23,8 @@ Annulus points are an (N, k) array in shell_points' digit dtype (one byte
 per digit for y <= 256) and witnesses an (M, k) int64 array; the filter is
 one chunked matrix product of the two, which numpy forms in int64, so dot
 products past a byte do not wrap.
-filter_survivors takes any sequence of integer points, refusing floats as
-encode_all does, and returns its survivors as a list of plain int tuples.
+filter_survivors takes any sequence of integer points, through
+numeric.integer_array, and returns its survivors as a list of plain int tuples.
 
 The filter can empty the annulus at desk scale (small y relative to g); that
 outcome is reported on the artifact, never raised, so parameter sweeps can
@@ -39,8 +39,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import APFreeSet, integer_coords
-from .errors import BudgetExceeded
+from .codec import APFreeSet
+from .errors import BudgetExceeded, CoordOutOfRange
 from .lattice import (
     DEFAULT_BUDGET,
     ShellSelection,
@@ -48,7 +48,7 @@ from .lattice import (
     select_and_scan,
     select_elkin_annulus,
 )
-from .numeric import ConstructionParams, eta
+from .numeric import ConstructionParams, eta, integer_array
 
 #: Dot products (int64 cells) the filter forms per block.  At (k, y, g) =
 #: (7, 12, 2), blocks of 2^14 to 2^16 cells took the time of 2^22-cell ones
@@ -111,7 +111,7 @@ def _uncertified(points: np.ndarray, deltas: np.ndarray, g: int) -> np.ndarray:
     """Mask of the rows b of an (N, k) array with no witness row delta giving
     |<b, delta>| <= g."""
     keep = np.ones(len(points), dtype=bool)
-    deltas = np.asarray(deltas, dtype=np.int64).reshape(len(deltas), points.shape[1])
+    deltas = deltas.reshape(len(deltas), points.shape[1])
     chunk = max(1, _FILTER_CELLS // max(1, len(deltas)))
     for start in range(0, len(points), chunk):
         dots = points[start : start + chunk] @ deltas.T
@@ -125,17 +125,20 @@ def filter_survivors(
     """Keep points b whose every witness dot product avoids [-g, g].
 
     points is any sequence of coordinate sequences, or an (N, k) array;
-    points or witnesses that are not integers raise CoordOutOfRange.
+    points or witnesses that are not integers, or past int64, raise CoordOutOfRange.
     Survivors are returned in input order as a list of plain int tuples.  A
     removed point had some delta with |<b, delta>| <= g.  When witnesses is
     closed under delta -> -delta, as enumerate_witnesses is, that equals the
     one-sided certificate 0 <= <b, delta> <= g that b may be expressible as a
     convex combination of other ball points.
     """
-    rows, witnesses = integer_coords(points), integer_coords(witnesses)
+    try:
+        rows, witnesses = (integer_array(a, CoordOutOfRange, "coordinates")
+                           .astype(np.int64, copy=False) for a in (points, witnesses))
+    except OverflowError as exc:  # a Python int past int64, where uint64 would wrap
+        raise CoordOutOfRange("coordinates past int64") from exc
     if len(rows) == 0:
         return [], 0
-    rows = rows.astype(np.int64, copy=False)
     survivors = list(map(tuple, rows[_uncertified(rows, witnesses, g)].tolist()))
     return survivors, len(rows) - len(survivors)
 

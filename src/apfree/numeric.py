@@ -5,7 +5,8 @@ Gamma factor, the exact first two moments of the squared norm of a uniform
 random cube vector, the witness-count exponent eta(epsilon), the classical
 and improved density comparators, the digit map's radix, its fit test and
 the power guard beneath it, and a run's parameters: (k, y) derived from a
-target interval bound n, and the knobs resolved once for both methods.
+target interval bound n, and the knobs resolved once for both methods.  One gate,
+integer_array, checks every integer array the package is handed: no float or bool.
 
 Moments are kept as exact rationals.  For Y uniform on {0..y-1}:
 
@@ -40,6 +41,30 @@ def int_dtype(bound: int):
     """The numpy dtype for exact integers below bound: int64 while bound < 2^62,
     Python ints (object dtype) otherwise, so sums of a few stay exact."""
     return np.int64 if bound < 2**62 else object
+
+
+def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """values as an array of exact integers, or error(f"{what} must be integers, ...").
+
+    An int64 or narrower integer array (or what __array__ gives) is returned as
+    it is, with no copy and no pass; anything else is checked element by element
+    and held in int_dtype of its largest magnitude.  No float or bool passes.
+    """
+    if hasattr(values, "__array__"):  # an ndarray, or a set's elements
+        values = np.asarray(values)
+        if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
+            return values
+    cells = np.array(values, dtype=object)
+    items = cells.ravel().tolist()
+    kinds = set(map(type, items))
+    bad = {t for t in kinds if t is bool or not issubclass(t, numbers.Integral)}
+    if bad:
+        culprit = next(v for v in items if type(v) in bad)
+        raise error(f"{what} must be integers, got {culprit!r:.40}")
+    if kinds - {int}:  # numpy ints, held as Python ints
+        items = list(map(int, items))
+        cells = np.array(items, dtype=object).reshape(cells.shape)
+    return cells.astype(int_dtype(max(map(abs, items), default=0)), copy=False)
 
 
 def ball_volume(ell: int, radius_sq: float) -> float:

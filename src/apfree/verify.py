@@ -44,7 +44,7 @@ import numpy as np
 
 from .codec import APFreeSet
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .numeric import int_dtype
+from .numeric import int_dtype, integer_array
 
 #: Search bound of both exact_nu and exact_nu_bb, the n they both finish.
 #: From empty tables, the DFS takes about 0.04 s to n = 48, 0.3 s to 56 and
@@ -69,17 +69,14 @@ class VerificationReport:
 
 
 def _elements_of(s) -> np.ndarray:
-    """The distinct elements of s in ascending order, as an int64 or, past
-    2^62, object array: an APFreeSet's own array, any other iterable checked."""
+    """The distinct elements of s in ascending order: an APFreeSet's own array,
+    any other iterable's through numeric.integer_array."""
     if isinstance(s, APFreeSet):
         return np.asarray(s.elements)
-    elements = list(s)
-    for e in elements:
-        # int() would truncate a float; a bool is no set element either
-        if isinstance(e, bool) or not isinstance(e, numbers.Integral):
-            raise ValueError(f"set elements must be integers, got {e!r:.40}")
-    elements = sorted(set(map(int, elements)))
-    return np.array(elements, dtype=int_dtype(max(map(abs, elements), default=0)))
+    elements = integer_array(list(s), ValueError, "set elements")
+    if elements.ndim != 1:
+        raise ValueError(f"set elements must be one row, got shape {elements.shape}")
+    return np.unique(elements)
 
 
 def midpoint_free(

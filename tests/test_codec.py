@@ -86,6 +86,11 @@ class TestDecode:
         assert decode_all(codes, 2, 3).tolist() == [[0, 1], [1, 1]]
         assert codes.tolist() == [6, 7]
 
+    def test_small_codes_of_a_radix_past_int64(self):
+        # the radix 2^71 is no int64: the codes are divided as Python ints
+        for codes in ([5, 2**69], np.array([5, 7])):
+            assert decode_all(codes, 2, 2**70).tolist()[0] == [5, 0]
+
     def test_rejects_large_digit(self):
         with pytest.raises(DigitOutOfRange):
             decode_all([3], 2, 3)
@@ -156,7 +161,8 @@ class TestDecode:
     @pytest.mark.parametrize("k,y", [(9, 3), (27, 4)])
     def test_bulk_decode_rejects_non_codes(self, k, y):
         # 6^9 takes the int64 path, 8^27 the Python-int one; a float is
-        # refused, not truncated to a code (6.5 to 6, (0.5, 1.9) to (0, 1))
+        # refused, not truncated to a code (6.5 to 6, (0.5, 1.9) to (0, 1)),
+        # and a bool is not read as 1
         top = (2 * y) ** k
         largest = _code((y - 1,) * k, y)
         for bad in (-1, y, top, top + 1, 6.5, float(y - 1)):
@@ -164,7 +170,7 @@ class TestDecode:
                 with pytest.raises(DigitOutOfRange):
                     decode_all(codes, k, y)
         for coords in ([(y,) + (0,) * (k - 1)], [(0.5,) + (1.9,) * (k - 1)],
-                       np.full((1, k), 1.0)):
+                       np.full((1, k), 1.0), [(True,) + (1,) * (k - 1)]):
             with pytest.raises(CoordOutOfRange):
                 encode_all(coords, y, k)
 

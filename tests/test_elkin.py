@@ -150,8 +150,18 @@ class TestFilterSurvivors:
         witnesses = enumerate_witnesses(2, 1)
         for points, deltas in [([[2.7, 3.9]], witnesses),
                                ([(2, 3)], witnesses.astype(float)),
-                               (np.array([[True, False]]), witnesses)]:
+                               (np.array([[True, False]]), witnesses),
+                               ([[True, 5]], witnesses)]:
             with pytest.raises(CoordOutOfRange, match="coordinates must be integers"):
+                filter_survivors(points, deltas, 1)
+
+    def test_points_or_witnesses_past_int64_are_refused(self):
+        # cast to int64, these rows wrapped into negative "survivors"
+        witnesses = enumerate_witnesses(2, 1)
+        past = np.array([[2**63 + 3, 2**63 + 7]], dtype=np.uint64)
+        for points, deltas in [(past, witnesses), ([(3, 3)], past),
+                               ([(3, 3)], np.array([[2**64, 1]], dtype=object))]:
+            with pytest.raises(CoordOutOfRange, match="past int64"):
                 filter_survivors(points, deltas, 1)
 
     def test_preserves_input_order(self):

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apfree.errors import DegenerateParameters
+from apfree.codec import APFreeSet, decode_all, encode_all
+from apfree.elkin import enumerate_witnesses, filter_survivors
+from apfree.errors import (
+    ApfreeError,
+    CoordOutOfRange,
+    DegenerateParameters,
+    DigitOutOfRange,
+)
 from apfree.numeric import (
     ConstructionParams,
     ball_volume,
@@ -21,10 +28,12 @@ from apfree.numeric import (
     eta,
     exact_moments,
     feasibility_gap,
+    integer_array,
     max_side,
     radix,
     resolve_params,
 )
+from apfree.verify import midpoint_free
 
 class TestBallVolume:
     def test_disc(self):
@@ -313,3 +322,88 @@ class TestBounds:
             behrend_bound(1)
         with pytest.raises(ValueError):
             elkin_bound(1)
+
+
+#: The cube side of the codec calls and the bound of the sets below: past
+#: 2^64, so every value drawn is in range for them.
+_BIG = 2**70
+
+_UNIT_WITNESSES = enumerate_witnesses(1, 1)
+
+
+def _rows(spelled):
+    """values spelled one way, as the rows of points in one dimension."""
+    if isinstance(spelled, np.ndarray):
+        return spelled.reshape(-1, 1)
+    return [[v] for v in spelled]
+
+
+#: Each caller of integer_array, on values spelled one way, with the exception
+#: it refuses a non-integer with.
+_CALLERS = {
+    "encode_all": (lambda vs: encode_all(_rows(vs), _BIG, 1), CoordOutOfRange),
+    "decode_all": (lambda vs: decode_all(vs, 1, _BIG).tolist(), DigitOutOfRange),
+    "APFreeSet": (lambda vs: APFreeSet(n=_BIG, elements=vs, method="external"),
+                  ValueError),
+    "midpoint_free": (midpoint_free, ValueError),
+    "filter_survivors": (lambda vs: filter_survivors(_rows(vs), _UNIT_WITNESSES, 1),
+                         CoordOutOfRange),
+}
+
+_WIDTHS = (np.int8, np.int16, np.int32, np.int64,
+           np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _integer_spellings(values):
+    """values as Python ints, as an object array, and as the numpy ints (each
+    scalar, and an array) of every width that holds them all."""
+    spellings = [list(values), np.array(values, dtype=object)]
+    for dtype in _WIDTHS:
+        if values[-1] <= np.iinfo(dtype).max:
+            spellings += [[dtype(v) for v in values], np.array(values, dtype=dtype)]
+    return spellings
+
+
+def _non_integer_spellings(values, at):
+    """values with the one at index at spelled as no integer, and all of them
+    as a float array and as a bool array."""
+    v = values[at]
+    bad = (float(v), v + 0.5, np.float64(v), True, np.bool_(True), str(v), None)
+    return ([values[:at] + [b] + values[at + 1 :] for b in bad]
+            + [np.array(values, dtype=float), np.array(values, dtype=bool)])
+
+
+def _outcome(call, spelled):
+    """What call returns on spelled, or the type of the refusal it raises."""
+    try:
+        return call(spelled)
+    except (ApfreeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestIntegerArray:
+    def test_integer_arrays_up_to_int64_pass_uncopied(self):
+        for dtype in _WIDTHS[:-1]:
+            values = np.arange(6, dtype=dtype).reshape(3, 2)
+            assert integer_array(values, ValueError, "values") is values
+        walked = integer_array(np.array([1, 2**63], dtype=np.uint64), ValueError, "v")
+        assert walked.dtype == object and walked.tolist() == [1, 2**63]
+
+    @given(values=st.lists(st.one_of(st.integers(1, 127), st.integers(1, 2**63 - 1),
+                                     st.integers(2**63, 2**64 - 1),
+                                     st.integers(2**64, _BIG - 1)),
+                           min_size=1, max_size=5, unique=True).map(sorted),
+           at=st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_each_caller_accepts_exactly_the_integer_spellings(self, values, at):
+        # ints past 2^64 and uint64 past 2^63 are integers: a caller may refuse
+        # them only for their range, as it does when they are Python ints
+        at %= len(values)
+        for name, (call, error) in _CALLERS.items():
+            expected = _outcome(call, list(values))
+            for spelled in _integer_spellings(values):
+                assert _outcome(call, spelled) == expected, (name, spelled)
+            for spelled in _non_integer_spellings(values, at):
+                with pytest.raises(error, match="must be integers") as info:
+                    call(spelled)
+                assert type(info.value) is error, (name, spelled)

@@ -1,4 +1,4 @@
-"""No module of the package or of scripts/ imports a name it never reads.
+"""No module of the package, of scripts/ or of tests/ imports a name it never reads.
 
 No linter is part of the project's toolchain, so this is the check: a name an
 import binds, other than a __future__ feature, must be read somewhere in the
@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "apfree").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = (sorted(p for p in (ROOT / "src" / "apfree").glob("*.py")
+                  if p.name != "__init__.py")
+           + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
